@@ -12,9 +12,8 @@
 //! `cache_hit_rate/zipf099_1024q_hit_rate_percent` — the value is a
 //! percentage, not a duration).
 
-use std::io::Write as _;
-
 use criterion::{criterion_group, criterion_main, Criterion};
+use qram_bench::record_scalar;
 use qram_core::{execute_batch, execute_batch_traced, execute_batch_unmemoized, FatTreeQram};
 use qram_metrics::Capacity;
 use qram_sched::ZipfAddresses;
@@ -42,22 +41,6 @@ fn measured_hit_rate(qram: &FatTreeQram, mem: &ClassicalMemory, theta: f64, coun
     let addresses = zipf_batch(theta, count);
     let (_, stats) = execute_batch_traced(qram, mem, &addresses, &[]).expect("batch executes");
     stats.hit_rate()
-}
-
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: a hit-rate percentage) land in the baseline's `scalars`
-/// section instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
 }
 
 fn print_hit_rate_curve(qram: &FatTreeQram, mem: &ClassicalMemory) {

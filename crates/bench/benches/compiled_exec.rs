@@ -17,7 +17,7 @@
 //! [`CompiledQuery`]: qram_core::CompiledQuery
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qram_core::exec::execute_layers_sequential;
+use qram_core::exec::execute_layers;
 use qram_core::{execute_batch, execute_batch_unmemoized, FatTreeQram, QramModel, ShardedQram};
 use qram_metrics::Capacity;
 use qsim::branch::{AddressState, ClassicalMemory};
@@ -40,7 +40,7 @@ fn bench_single_query(c: &mut Criterion) {
     let addresses: Vec<u64> = (0..16u64).map(|i| i * (N / 16)).collect();
     let address = AddressState::uniform(ADDRESS_WIDTH, &addresses).expect("valid");
     group.bench_function("ft_16branch_n10_interpreted", |b| {
-        b.iter(|| execute_layers_sequential(&layers, &mem, &address).expect("valid stream"))
+        b.iter(|| execute_layers(&layers, &mem, &address).expect("valid stream"))
     });
     group.bench_function("ft_16branch_n10_compiled", |b| {
         b.iter(|| plan.execute(&mem, &address))

@@ -18,10 +18,10 @@
 //!    long tail. Cold recovery replays both; the delta arm wins on
 //!    bytes scanned.
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qram_bench::record_scalar;
 use qram_core::store::{
     CheckpointPolicy, DirOp, DurableFleet, GroupCommitPolicy, OsDir, SimDir, CHECKPOINT_TMP,
     DELTA_TMP,
@@ -62,18 +62,6 @@ fn hot_write(epoch: u64) -> ReplicatedWrite {
         origin: (epoch % 4) as usize,
         address: ((epoch * 13) % HOT_CELLS) * (N / HOT_CELLS),
         value: epoch % 2,
-    }
-}
-
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
     }
 }
 

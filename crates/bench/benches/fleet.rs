@@ -15,9 +15,8 @@
 //! per replica count; the per-`R` served rates and the R = 2 hot-tenant
 //! p99s land in the `CRITERION_JSON` baseline as scalars.
 
-use std::io::Write as _;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qram_bench::record_scalar;
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, TimingModel};
 use qram_sched::{flash_crowd_arrivals, poisson_arrivals, FifoAdmission, QuotaAdmission, TenantId};
@@ -109,22 +108,6 @@ fn fleet(
             replication_lag: qram_metrics::Layers::new(50.0),
         },
     )
-}
-
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: served rates and latency percentiles) land in the same JSON
-/// record as the timings.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
 }
 
 fn print_fleet_rows(_c: &mut Criterion) {

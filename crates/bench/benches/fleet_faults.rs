@@ -17,9 +17,8 @@
 //! per-replica reactors + execution) against the fault-free loop on
 //! the identical workload, pricing the failover machinery itself.
 
-use std::io::Write as _;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qram_bench::record_scalar;
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, Layers, TimingModel};
 use qram_sched::{poisson_arrivals, FifoAdmission, TenantId};
@@ -115,22 +114,6 @@ fn crash_plan() -> FaultPlan {
             replica: VICTIM,
             at: Layers::new(RECOVER_AT_INTERVALS * interval),
         })
-}
-
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: per-phase availability and p99) land in the baseline's
-/// `scalars` section instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
 }
 
 /// p99 of a latency sample by rank (ceil interpolation), `None` when the

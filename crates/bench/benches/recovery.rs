@@ -11,9 +11,8 @@
 //! in-memory `SimDir`, so the numbers isolate the store's CPU cost from
 //! platter physics.
 
-use std::io::Write as _;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qram_bench::record_scalar;
 use qram_core::store::{CheckpointPolicy, DurableFleet, SimDir, WAL_FILE};
 use qram_core::ReplicatedWrite;
 use qsim::branch::ClassicalMemory;
@@ -52,22 +51,6 @@ fn crash_image(epochs: u64, policy: CheckpointPolicy) -> SimDir {
         .downcast_mut::<SimDir>()
         .expect("bench store runs on SimDir")
         .clone()
-}
-
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements (here: WAL
-/// bytes per configuration) land in the baseline's `scalars` section
-/// instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
 }
 
 fn print_recovery_rows(_c: &mut Criterion) {

@@ -12,9 +12,8 @@
 //! execution) per shard count, and the K = 8 Poisson p95 (in layers) is
 //! recorded into the `CRITERION_JSON` baseline as a scalar.
 
-use std::io::Write as _;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qram_bench::record_scalar;
 use qram_core::{QramModel, ShardedQram};
 use qram_metrics::{Capacity, TimingModel};
 use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, ZipfAddresses};
@@ -79,22 +78,6 @@ fn bursty_workload(k: u32) -> Vec<ServiceRequest> {
     with_zipf_addresses(bursty_arrivals(
         on_rate, mean_on, mean_off, REQUESTS, &mut rng,
     ))
-}
-
-/// Appends one id/value line to the `CRITERION_JSON` stream with the
-/// `scalar` key (not `ns_per_iter`), so scalar measurements
-/// (here: a latency percentile in layers) land in the baseline's
-/// `scalars` section instead of the timing table.
-fn record_scalar(id: &str, value: f64) {
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
-        }
-    }
 }
 
 fn print_section5_rows(_c: &mut Criterion) {

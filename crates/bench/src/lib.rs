@@ -2,8 +2,10 @@
 //! every table and figure of the Fat-Tree QRAM paper.
 //!
 //! Each bench target (`cargo bench -p qram-bench`) prints the same rows or
-//! series the paper reports; see `EXPERIMENTS.md` at the workspace root
-//! for the paper-vs-measured record.
+//! series the paper reports; `tests/paper_numbers.rs` at the workspace root
+//! asserts the headline numbers, each test citing its table or figure.
+
+use std::io::Write as _;
 
 /// Prints a section header for a table/figure reproduction.
 pub fn header(title: &str) {
@@ -22,6 +24,23 @@ pub fn num(v: f64) -> String {
         format!("{v:.0}")
     } else {
         format!("{v:.4}")
+    }
+}
+
+/// Appends one id/value line to the `CRITERION_JSON` stream with the
+/// `scalar` key (not `ns_per_iter`), so scalar measurements (hit rates,
+/// latency percentiles, byte counts) land in the baseline's `scalars`
+/// section instead of the timing table. A no-op when `CRITERION_JSON` is
+/// unset or the file cannot be opened.
+pub fn record_scalar(id: &str, value: f64) {
+    if let Ok(path) = std::env::var("CRITERION_JSON") {
+        if let Ok(mut f) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+        {
+            let _ = writeln!(f, "{{\"id\":\"{id}\",\"scalar\":{value:.1}}}");
+        }
     }
 }
 

@@ -68,12 +68,10 @@ mod soa;
 pub use bucket_brigade::BucketBrigadeQram;
 pub use exec::{
     compiled_query, interned_layers, CompiledQuery, ExecError, Execution, GateCounts, LayerArch,
-    PARALLEL_BRANCH_THRESHOLD,
 };
 pub use fat_tree::FatTreeQram;
 pub use model::{
-    execute_batch, execute_batch_rowwise, execute_batch_traced, execute_batch_unmemoized,
-    BatchCacheStats, QramModel,
+    execute_batch, execute_batch_traced, execute_batch_unmemoized, BatchCacheStats, QramModel,
 };
 pub use ops::{GateClass, Op, QubitTag};
 pub use pipeline::{ensure_conflict_free, ConflictError, PipelineSchedule, QueryTiming};

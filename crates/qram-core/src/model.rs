@@ -32,7 +32,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qram_metrics::{Capacity, Layers, TimingModel};
@@ -93,8 +92,8 @@ pub trait QramModel {
     /// [`Self::execute_query_traced`], batched execution, and the
     /// fidelity estimators through the compiled fast path; the
     /// interpreter remains the property-tested reference
-    /// ([`execute_layers`], [`execute_batch_unmemoized`], and the pinned
-    /// `*_sequential` variants).
+    /// ([`execute_layers`], [`execute_batch_unmemoized`], and
+    /// `ShardedQram::execute_queries_sequential`).
     fn compiled_query(&self) -> Option<Arc<CompiledQuery>> {
         None
     }
@@ -243,13 +242,13 @@ impl BatchCacheStats {
 /// instruction stream is taken from
 /// [`QramModel::interned_query_layers`], so it is generated at most once
 /// per process rather than once per batch; when the backend exposes a
-/// [`QramModel::compiled_query`] plan, cache misses skip the interpreter
-/// entirely and answer each branch with the plan's O(1) residual read.
+/// [`QramModel::compiled_query`] plan, the batch skips the interpreter
+/// entirely and answers each branch with the plan's O(1) residual read.
 ///
 /// # Memoization
 ///
 /// Branch data is a pure function of the memory contents and the address
-/// set, so outcomes are memoized within the batch keyed on
+/// set, so for plan backends outcomes are memoized within the batch keyed on
 /// `(write_epoch, address set)`: a query whose address set was already
 /// executed against the same memory epoch reuses the cached per-address
 /// data (amplitudes are applied per query, so superpositions with
@@ -291,10 +290,13 @@ pub fn execute_batch<M: QramModel + ?Sized>(
 /// the columnar structure-of-arrays kernel (`soa` module): one flattened
 /// term column per batch, per-epoch memo accounting, bit-parallel
 /// retrieval for 1-bit buses, and per-query outcomes that are views into
-/// one shared column. Outcomes, panics, and [`BatchCacheStats`] are
-/// bit-equal to the row-at-a-time path ([`execute_batch_rowwise`]), which
-/// remains pinned as the A/B baseline; plan-less backends take the
-/// row-at-a-time interpreter sweep as before.
+/// one shared column. Outcomes and panics are bit-equal to
+/// [`execute_batch_unmemoized`], and per memory epoch the stats count one
+/// miss for each distinct address set and one hit for each repeat.
+///
+/// A plan-less backend (none of the in-tree backends is one) falls back to
+/// the interpreter sweep of [`execute_batch_unmemoized`], which has no
+/// memo: it reports every query as a miss.
 ///
 /// # Errors
 ///
@@ -314,61 +316,41 @@ pub fn execute_batch_traced<M: QramModel + ?Sized>(
         model.capacity().get(),
         "memory capacity must match QRAM capacity"
     );
-    if let Some(plan) = model.compiled_query() {
-        if addresses.is_empty() {
-            return Ok((Vec::new(), BatchCacheStats::default()));
-        }
-        // Retrieval layers only order queries against memory writes; an
-        // update-free batch is one epoch in query order and needs none.
-        let retrievals: Vec<u64> = if memory_updates.is_empty() {
-            Vec::new()
-        } else {
-            (0..addresses.len())
-                .map(|q| model.retrieval_layer(q))
-                .collect()
+    let Some(plan) = model.compiled_query() else {
+        let outcomes = execute_batch_unmemoized(model, memory, addresses, memory_updates)?;
+        let stats = BatchCacheStats {
+            hits: 0,
+            misses: outcomes.len() as u64,
         };
-        return Ok(crate::soa::execute_batch_columnar(
-            &plan,
-            memory,
-            addresses,
-            &retrievals,
-            memory_updates,
-        ));
+        return Ok((outcomes, stats));
+    };
+    if addresses.is_empty() {
+        return Ok((Vec::new(), BatchCacheStats::default()));
     }
-    execute_batch_impl(model, memory, addresses, memory_updates, true, true)
-}
-
-/// The row-at-a-time memoized batch path: the same §7.2 sweep as
-/// [`execute_batch_traced`] with the per-query memo cache and compiled-
-/// plan dispatch, but *without* the columnar kernel — each query probes
-/// the memo hash individually and builds its own outcome terms. Pinned as
-/// the baseline side of the `columnar_exec` A/B benchmark and of the
-/// columnar property tests; behaviourally identical to the columnar path
-/// by construction (outcomes, error surfaces, and [`BatchCacheStats`]).
-///
-/// # Errors
-///
-/// See [`execute_batch`].
-///
-/// # Panics
-///
-/// Panics if the memory capacity mismatches the QRAM capacity.
-pub fn execute_batch_rowwise<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
-    execute_batch_impl(model, memory, addresses, memory_updates, true, true)
+    // Retrieval layers only order queries against memory writes; an
+    // update-free batch is one epoch in query order and needs none.
+    let retrievals: Vec<u64> = if memory_updates.is_empty() {
+        Vec::new()
+    } else {
+        (0..addresses.len())
+            .map(|q| model.retrieval_layer(q))
+            .collect()
+    };
+    Ok(crate::soa::execute_batch_columnar(
+        &plan,
+        memory,
+        addresses,
+        &retrievals,
+        memory_updates,
+    ))
 }
 
 /// [`execute_batch`] with memoization *and* the compiled-plan fast path
 /// disabled: every query walks the instruction stream through the
-/// interpreter, even for a repeated `(epoch, address set)`. The reference
-/// side of both A/Bs (property tests, the `cache_hit_rate` and
-/// `compiled_exec` benchmarks) — the same sweep as [`execute_batch`] with
-/// only the cache lookup and plan dispatch disabled, so the paths cannot
-/// drift apart.
+/// interpreter ([`execute_layers`]) against the memory contents current at
+/// its retrieval layer, even for a repeated `(epoch, address set)`. The
+/// reference oracle of the columnar kernel (property tests, the
+/// `cache_hit_rate` and `compiled_exec` benchmarks).
 ///
 /// # Errors
 ///
@@ -383,132 +365,34 @@ pub fn execute_batch_unmemoized<M: QramModel + ?Sized>(
     addresses: &[AddressState],
     memory_updates: &[(u64, u64, u64)],
 ) -> Result<Vec<QueryOutcome>, ExecError> {
-    execute_batch_impl(model, memory, addresses, memory_updates, false, false)
-        .map(|(outcomes, _)| outcomes)
-}
-
-/// The shared §7.2 sweep behind [`execute_batch_traced`] (memoize and
-/// plan dispatch on) and [`execute_batch_unmemoized`] (both off): one
-/// body, so the reference path cannot silently diverge from the cached
-/// path.
-fn execute_batch_impl<M: QramModel + ?Sized>(
-    model: &M,
-    memory: &ClassicalMemory,
-    addresses: &[AddressState],
-    memory_updates: &[(u64, u64, u64)],
-    memoize: bool,
-    use_plan: bool,
-) -> Result<(Vec<QueryOutcome>, BatchCacheStats), ExecError> {
     assert_eq!(
         memory.capacity() as u64,
         model.capacity().get(),
         "memory capacity must match QRAM capacity"
     );
     if addresses.is_empty() {
-        return Ok((Vec::new(), BatchCacheStats::default()));
+        return Ok(Vec::new());
     }
-    let plan = if use_plan {
-        model.compiled_query()
-    } else {
-        None
-    };
-    // The instruction stream is only walked when no plan services the
-    // misses; don't make a backend with a default (regenerating)
-    // `interned_query_layers` build a stream nobody reads.
-    let layers = if plan.is_none() {
-        Some(model.interned_query_layers())
-    } else {
-        None
-    };
-    let n = memory.address_width();
-    let bus_width = memory.bus_width();
+    let layers = model.interned_query_layers();
     let mut mem = memory.clone();
     let retrievals: Vec<u64> = (0..addresses.len())
         .map(|q| model.retrieval_layer(q))
         .collect();
     let mut results: Vec<Option<QueryOutcome>> = vec![None; addresses.len()];
-    // Address set → per-address data in address order, valid for the
-    // memoized write epoch only: epochs are monotone, so a write bumping
-    // the epoch makes every existing entry permanently unreachable —
-    // clearing the map is equivalent to (and cheaper than) keying on the
-    // epoch. The cached value intentionally excludes amplitudes: data
-    // depends only on the memory and the addresses, so any superposition
-    // over the same address set reuses it. Lookups borrow `key_scratch`
-    // as a plain `&[u64]`, so cache hits allocate nothing; the key is
-    // cloned into the map only on a miss.
-    let mut memo: HashMap<Vec<u64>, Arc<[u64]>> = HashMap::new();
-    let mut memo_epoch = mem.write_epoch();
-    let mut key_scratch: Vec<u64> = Vec::new();
-    let mut stats = BatchCacheStats::default();
     retrieval_order_sweep(&retrievals, memory_updates, |event| match event {
         SweepEvent::Update { address, value } => {
             mem.write(address, value);
             Ok(())
         }
         SweepEvent::Query(q) => {
-            let address = &addresses[q];
-            // The miss path asserts this inside `execute_layers`; repeat
-            // it here so a width-mismatched query also panics when it
-            // would otherwise be answered from the cache.
-            assert_eq!(
-                address.address_width(),
-                n,
-                "address width must match memory capacity"
-            );
-            let run_query = |mem: &ClassicalMemory| -> Result<Arc<[u64]>, ExecError> {
-                // Outcome terms share the ascending address order of
-                // `AddressState`, so cached data aligns positionally.
-                match &plan {
-                    Some(plan) => Ok(address
-                        .iter()
-                        .map(|&(_, a)| plan.read_data(mem, a))
-                        .collect()),
-                    None => {
-                        let layers = layers.as_ref().expect("layers fetched when no plan");
-                        let exec = execute_layers(layers, mem, address)?;
-                        Ok(exec.outcome.iter().map(|&(_, _, d)| d).collect())
-                    }
-                }
-            };
-            let data: Arc<[u64]> = if memoize {
-                if mem.write_epoch() != memo_epoch {
-                    memo.clear();
-                    memo_epoch = mem.write_epoch();
-                }
-                key_scratch.clear();
-                key_scratch.extend(address.iter().map(|&(_, a)| a));
-                if let Some(cached) = memo.get(key_scratch.as_slice()) {
-                    stats.hits += 1;
-                    Arc::clone(cached)
-                } else {
-                    stats.misses += 1;
-                    let data = run_query(&mem)?;
-                    memo.insert(key_scratch.clone(), Arc::clone(&data));
-                    data
-                }
-            } else {
-                stats.misses += 1;
-                run_query(&mem)?
-            };
-            // Outcome terms and cached data share the address ordering of
-            // `AddressState` (sorted ascending), so a positional zip
-            // reattaches this query's amplitudes.
-            let terms: Vec<_> = address
-                .iter()
-                .zip(data.iter())
-                .map(|(&(amp, addr), &d)| (amp, addr, d))
-                .collect();
-            results[q] = Some(QueryOutcome::from_terms(n, bus_width, terms));
+            results[q] = Some(execute_layers(&layers, &mem, &addresses[q])?.outcome);
             Ok(())
         }
     })?;
-    Ok((
-        results
-            .into_iter()
-            .map(|r| r.expect("every query executed"))
-            .collect(),
-        stats,
-    ))
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every query executed"))
+        .collect())
 }
 
 /// One step of the §7.2 retrieval-order sweep of

@@ -8,15 +8,17 @@
 //! proves conflict-freedom ("no conflicting colors in the same layer",
 //! Fig. 6).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use qram_metrics::{Capacity, Layers, TimingModel, Utilization, UtilizationTrace};
 
-/// Process-wide count of [`PipelineSchedule`] constructions.
-static SCHEDULE_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of [`PipelineSchedule`] constructions.
+    static SCHEDULE_CONSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Per-capacity memo of the largest batch size whose pipeline has already
 /// been proven conflict-free, keyed by `Capacity::get()`.
@@ -60,14 +62,17 @@ pub fn ensure_conflict_free(capacity: Capacity, num_queries: usize) -> Result<()
     Ok(())
 }
 
-/// Number of [`PipelineSchedule`] values constructed since process start.
+/// Number of [`PipelineSchedule`] values constructed on the calling thread
+/// since it started. Execution never leaves the calling thread, so a test
+/// reading the counter before and after a call sees exactly that call's
+/// constructions, whatever other test threads do meanwhile.
 ///
 /// A diagnostic for regression tests: batched execution of a `B`-query
 /// batch must stay `O(B)` in schedule constructions (it was once
 /// `O(B log B)` from rebuilding a schedule inside a sort comparator).
 #[must_use]
 pub fn schedule_construction_count() -> u64 {
-    SCHEDULE_CONSTRUCTIONS.load(Ordering::Relaxed)
+    SCHEDULE_CONSTRUCTIONS.get()
 }
 
 use crate::latency;
@@ -143,7 +148,7 @@ impl PipelineSchedule {
     #[must_use]
     pub fn new(capacity: Capacity, num_queries: usize) -> Self {
         assert!(num_queries >= 1, "at least one query is required");
-        SCHEDULE_CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        SCHEDULE_CONSTRUCTIONS.set(SCHEDULE_CONSTRUCTIONS.get() + 1);
         PipelineSchedule {
             capacity,
             num_queries,

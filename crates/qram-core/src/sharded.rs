@@ -6,29 +6,32 @@
 //! capacity-`N/K` component QRAMs by the *low-order* `log₂ K` address bits
 //! (bank interleaving, as in banked lookup-table engines): cell `a` lives
 //! in shard `a mod K` at local address `⌊a / K⌋`. A query superposition is
-//! split by shard bits into per-shard sub-queries, executed concurrently,
-//! and recombined, so the sharded machine is observably equivalent to a
-//! monolithic capacity-`N` machine while multiplying admission bandwidth
-//! by `K` under round-robin admission.
+//! split by shard bits into per-shard sub-queries, executed against their
+//! shard memories, and recombined, so the sharded machine is observably
+//! equivalent to a monolithic capacity-`N` machine while multiplying
+//! admission bandwidth by `K` under round-robin admission.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use qram_metrics::{Capacity, Layers, TimingModel};
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
-#[cfg(feature = "parallel")]
-use crate::exec::Execution;
-use crate::exec::{execute_layers_sequential, CompiledQuery, ExecError};
+use crate::exec::{execute_layers, CompiledQuery, ExecError};
 use crate::model::{retrieval_order_sweep, QramModel, SweepEvent};
 use crate::query_ops::QueryLayer;
 use crate::{BucketBrigadeQram, FatTreeQram};
 
-/// Process-wide count of per-shard sub-batch splits (`split_terms`
-/// invocations).
-static SUB_BATCH_SPLITS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of per-shard sub-batch splits (`split_terms`
+    /// invocations).
+    static SUB_BATCH_SPLITS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of per-shard sub-batch splits performed since process start.
+/// Number of per-shard sub-batch splits performed on the calling thread
+/// since it started. Execution never leaves the calling thread, so a test
+/// reading the counter before and after a call sees exactly that call's
+/// splits, whatever other test threads do meanwhile.
 ///
 /// A diagnostic for regression tests, in the same spirit as
 /// [`crate::pipeline::schedule_construction_count`]: a batch whose
@@ -37,13 +40,8 @@ static SUB_BATCH_SPLITS: AtomicU64 = AtomicU64::new(0);
 /// the compiled/columnar paths never split.
 #[must_use]
 pub fn sub_batch_split_count() -> u64 {
-    SUB_BATCH_SPLITS.load(Ordering::Relaxed)
+    SUB_BATCH_SPLITS.get()
 }
-
-/// Per-shard sub-query of one split superposition: shard index, the
-/// original `(amplitude, global address)` branches routed to it, and the
-/// local sub-state.
-type ShardSubQuery = (usize, Vec<(qsim::Complex, u64)>, AddressState);
 
 /// `K` capacity-`N/K` QRAM shards behind an address-interleaved router,
 /// serving as one capacity-`N` [`QramModel`] backend.
@@ -228,7 +226,7 @@ impl<M: QramModel> ShardedQram<M> {
     /// per-shard states keep the original (globally normalized) amplitudes
     /// alongside, so outcomes can be recombined exactly.
     fn split_terms(&self, address: &AddressState) -> Vec<Vec<(qsim::Complex, u64)>> {
-        SUB_BATCH_SPLITS.fetch_add(1, Ordering::Relaxed);
+        SUB_BATCH_SPLITS.set(SUB_BATCH_SPLITS.get() + 1);
         let mut per_shard: Vec<Vec<(qsim::Complex, u64)>> = vec![Vec::new(); self.shards.len()];
         for &(amp, addr) in address.iter() {
             per_shard[self.shard_of(addr) as usize].push((amp, addr));
@@ -237,23 +235,13 @@ impl<M: QramModel> ShardedQram<M> {
     }
 
     /// Executes one query's per-shard sub-batches against the interleaved
-    /// shard memories and recombines the outcomes. With `parallel` set
-    /// (only possible under the `parallel` feature), sub-batches fan out
-    /// across scoped threads — one per occupied shard — since they touch
-    /// disjoint memories; recombination order is fixed by shard index, so
-    /// the outcome is identical either way.
-    ///
-    /// With a compiled `shard_plan`, the per-shard split, sub-state
-    /// construction, and thread fan-out all collapse: each branch routes
-    /// straight to its shard memory for the plan's O(1) residual read —
-    /// cheaper than a single thread handoff.
+    /// shard memories through the interpreter and recombines the outcomes
+    /// in shard-index order.
     fn run_query_across_shards(
         &self,
         address: &AddressState,
         shard_mems: &[ClassicalMemory],
         shard_layers: &[QueryLayer],
-        shard_plan: Option<&CompiledQuery>,
-        parallel: bool,
     ) -> Result<QueryOutcome, ExecError> {
         let n = self.capacity.address_width();
         let local_width = self.shard_capacity().address_width();
@@ -262,27 +250,11 @@ impl<M: QramModel> ShardedQram<M> {
             n,
             "address width must match QRAM capacity"
         );
-        if let Some(plan) = shard_plan {
-            debug_assert_eq!(plan.address_width(), local_width);
-            let terms = address
-                .iter()
-                .map(|&(amp, addr)| {
-                    let mem = &shard_mems[self.shard_of(addr) as usize];
-                    (amp, addr, plan.read_data(mem, self.local_address(addr)))
-                })
-                .collect();
-            return Ok(QueryOutcome::from_terms(
-                n,
-                shard_mems[0].bus_width(),
-                terms,
-            ));
-        }
         // Single-occupied-shard fast path: when every branch routes to one
         // shard (always true for classical queries, and for any
         // superposition whose addresses share their low bits), skip the
         // `K`-entry sub-batch split entirely and run the one local
-        // sub-state directly — the dispatching executor still provides
-        // branch-level fan-out on the parallel path.
+        // sub-state directly.
         let first_shard = self.shard_of(address.iter().next().expect("non-empty state").1);
         if address
             .iter()
@@ -296,11 +268,7 @@ impl<M: QramModel> ShardedQram<M> {
             )
             .expect("shard sub-state is non-empty and duplicate-free");
             let mem = &shard_mems[first_shard as usize];
-            let exec = if parallel {
-                crate::exec::execute_layers(shard_layers, mem, &sub)?
-            } else {
-                execute_layers_sequential(shard_layers, mem, &sub)?
-            };
+            let exec = execute_layers(shard_layers, mem, &sub)?;
             // Local terms align positionally with the global branches:
             // equal low bits make the local order the global order.
             let terms = address
@@ -314,39 +282,20 @@ impl<M: QramModel> ShardedQram<M> {
                 terms,
             ));
         }
-        let sub_queries: Vec<ShardSubQuery> = self
-            .split_terms(address)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, branches)| !branches.is_empty())
-            .map(|(s, branches)| {
-                let sub = AddressState::new(
-                    local_width,
-                    branches
-                        .iter()
-                        .map(|&(amp, addr)| (amp, self.local_address(addr))),
-                )
-                .expect("shard sub-state is non-empty and duplicate-free");
-                (s, branches, sub)
-            })
-            .collect();
-        #[cfg(feature = "parallel")]
-        if parallel && address.num_branches() >= crate::exec::PARALLEL_BRANCH_THRESHOLD {
-            return self.run_shards_work_stealing(address, shard_mems, shard_layers, &sub_queries);
-        }
         let mut terms = Vec::with_capacity(address.num_branches());
-        for (s, branches, sub) in &sub_queries {
-            // Shard fan-out did not engage (parallel off or below the
-            // branch threshold). On the parallel path, go through the
-            // dispatching executor so a wide query concentrated on few
-            // shards still gets branch-level fan-out; the sequential
-            // reference path stays pinned.
-            let exec = if parallel {
-                crate::exec::execute_layers(shard_layers, &shard_mems[*s], sub)?
-            } else {
-                execute_layers_sequential(shard_layers, &shard_mems[*s], sub)?
-            };
-            for &(amp, addr) in branches {
+        for (s, branches) in self.split_terms(address).into_iter().enumerate() {
+            if branches.is_empty() {
+                continue;
+            }
+            let sub = AddressState::new(
+                local_width,
+                branches
+                    .iter()
+                    .map(|&(amp, addr)| (amp, self.local_address(addr))),
+            )
+            .expect("shard sub-state is non-empty and duplicate-free");
+            let exec = execute_layers(shard_layers, &shard_mems[s], &sub)?;
+            for &(amp, addr) in &branches {
                 let data = exec
                     .outcome
                     .data_for(self.local_address(addr))
@@ -361,129 +310,27 @@ impl<M: QramModel> ShardedQram<M> {
         ))
     }
 
-    /// The work-stealing interpreter fan-out behind
-    /// [`Self::run_query_across_shards`]: every occupied shard's local
-    /// sub-state is cut into small branch chunks, the chunks are seeded
-    /// round-robin into a [`crate::exec::StealQueues`] deque, and scoped
-    /// workers drain it — so a Zipf-skewed query whose branches pile onto
-    /// one hot shard no longer serializes on that shard's single thread.
+    /// [`QramModel::execute_queries`] pinned to the interpreter sweep (no
+    /// compiled-plan dispatch) — the reference oracle the columnar kernel
+    /// is property-tested against, and the baseline side of the
+    /// `compiled_exec` benchmark's sharded A/B.
     ///
-    /// Deterministic: chunks are recombined positionally in (shard, chunk)
-    /// order, which is exactly the sequential path's branch order, so
-    /// outcomes and the first surfaced [`ExecError`] are identical to
-    /// [`execute_layers_sequential`] per shard. Chunk sub-states are
-    /// re-normalized by `AddressState::new`, which is harmless: branch
-    /// *data* is amplitude-independent, and recombination takes amplitudes
-    /// from the original global branches.
-    #[cfg(feature = "parallel")]
-    fn run_shards_work_stealing(
-        &self,
-        address: &AddressState,
-        shard_mems: &[ClassicalMemory],
-        shard_layers: &[QueryLayer],
-        sub_queries: &[ShardSubQuery],
-    ) -> Result<QueryOutcome, ExecError> {
-        let n = self.capacity.address_width();
-        let local_width = self.shard_capacity().address_width();
-        let workers = crate::exec::parallel_worker_count();
-        let chunk_size = address
-            .num_branches()
-            .div_ceil(workers * 4)
-            .max(crate::exec::PARALLEL_BRANCH_THRESHOLD / 4)
-            .max(1);
-        // (sub-query index, branch offset, branch count) per chunk, in
-        // (shard, chunk) order.
-        let mut chunk_meta: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, (_, _, sub)) in sub_queries.iter().enumerate() {
-            let branches = sub.num_branches();
-            for start in (0..branches).step_by(chunk_size) {
-                chunk_meta.push((i, start, chunk_size.min(branches - start)));
-            }
-        }
-        let mut slots: Vec<Option<Result<Execution, ExecError>>> = vec![None; chunk_meta.len()];
-        let queues = crate::exec::StealQueues::seeded(
-            workers,
-            chunk_meta.iter().copied().zip(slots.iter_mut()),
-        );
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queues = &queues;
-                scope.spawn(move || {
-                    while let Some(((i, start, count), slot)) = queues.next(worker) {
-                        let (s, _, sub) = &sub_queries[i];
-                        let chunk = AddressState::new(
-                            local_width,
-                            sub.terms()[start..start + count].iter().copied(),
-                        )
-                        .expect("chunk of a valid sub-state");
-                        *slot = Some(execute_layers_sequential(
-                            shard_layers,
-                            &shard_mems[*s],
-                            &chunk,
-                        ));
-                    }
-                });
-            }
-        });
-        drop(queues);
-        let mut terms = Vec::with_capacity(address.num_branches());
-        for (&(i, start, count), slot) in chunk_meta.iter().zip(slots) {
-            let exec = slot.expect("every chunk executed")?;
-            // Chunk outcome terms align positionally with the original
-            // branches: both are ascending in (equal-low-bits) address
-            // order, so `branches[start + j]` owns outcome term `j`.
-            let branches = &sub_queries[i].1[start..start + count];
-            for (&(amp, addr), &(_, _, data)) in branches.iter().zip(exec.outcome.iter()) {
-                terms.push((amp, addr, data));
-            }
-        }
-        Ok(QueryOutcome::from_terms(
-            n,
-            shard_mems[0].bus_width(),
-            terms,
-        ))
-    }
-
-    /// The shared sweep behind [`QramModel::execute_queries`] and
-    /// [`Self::execute_queries_sequential`].
-    fn execute_queries_impl(
+    /// # Errors
+    ///
+    /// Returns an error if any query's instruction stream fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory capacity mismatches the QRAM capacity.
+    pub fn execute_queries_sequential(
         &self,
         memory: &ClassicalMemory,
         addresses: &[AddressState],
         memory_updates: &[(u64, u64, u64)],
-        parallel: bool,
-        use_plan: bool,
     ) -> Result<Vec<QueryOutcome>, ExecError> {
         let mut shard_mems = self.shard_memories(memory);
         if addresses.is_empty() {
             return Ok(Vec::new());
-        }
-        // With a compiled shard plan, the whole batch goes through the
-        // columnar structure-of-arrays kernel: radix-partitioned per-epoch
-        // gathers against the interleaved shard memories, outcomes as
-        // views into one shared term column. Bit-equal to the interpreter
-        // sweep below (property-tested), infallible by compile-time proof.
-        if use_plan {
-            if let Some(plan) = self.shards[0].compiled_query() {
-                // Retrieval layers only order queries against memory
-                // writes; an update-free batch needs none.
-                let retrievals: Vec<u64> = if memory_updates.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..addresses.len())
-                        .map(|q| self.retrieval_layer(q))
-                        .collect()
-                };
-                return Ok(crate::soa::execute_sharded_columnar(
-                    &plan,
-                    &mut shard_mems,
-                    self.shard_bits(),
-                    self.capacity.address_width(),
-                    addresses,
-                    &retrievals,
-                    memory_updates,
-                ));
-            }
         }
         // Per-batch precomputation: one interned instruction stream
         // (shards are identical) and one retrieval layer per query.
@@ -503,8 +350,6 @@ impl<M: QramModel> ShardedQram<M> {
                     &addresses[q],
                     &shard_mems,
                     &shard_layers,
-                    None,
-                    parallel,
                 )?);
                 Ok(())
             }
@@ -513,29 +358,6 @@ impl<M: QramModel> ShardedQram<M> {
             .into_iter()
             .map(|r| r.expect("every query executed"))
             .collect())
-    }
-
-    /// [`QramModel::execute_queries`] pinned to the fully sequential
-    /// interpreter path (no shard-level thread fan-out even with the
-    /// `parallel` feature, and no compiled-plan dispatch) — the reference
-    /// implementation the parallel and compiled paths are property-tested
-    /// against, and the baseline side of the `parallel_execution` and
-    /// `compiled_exec` benchmarks' sharded A/Bs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any query's instruction stream fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory capacity mismatches the QRAM capacity.
-    pub fn execute_queries_sequential(
-        &self,
-        memory: &ClassicalMemory,
-        addresses: &[AddressState],
-        memory_updates: &[(u64, u64, u64)],
-    ) -> Result<Vec<QueryOutcome>, ExecError> {
-        self.execute_queries_impl(memory, addresses, memory_updates, false, false)
     }
 }
 
@@ -653,13 +475,8 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
     /// flattened term column is radix-partitioned by the low-order shard
     /// bits and gathered per shard segment (bit-parallel from packed
     /// per-shard images for 1-bit buses) — no per-shard sub-state
-    /// construction and no threads. Otherwise, with the `parallel` cargo
-    /// feature, each query's branches are cut into chunks drained from a
-    /// work-stealing deque by scoped threads (the shard memories are
-    /// read-only during a query), falling back to sequential below
-    /// [`crate::exec::PARALLEL_BRANCH_THRESHOLD`] branches; outcomes are
-    /// recombined in deterministic branch order on every path, so results
-    /// are identical to [`Self::execute_queries_sequential`].
+    /// construction. Otherwise each query runs through the interpreter
+    /// sweep of [`Self::execute_queries_sequential`].
     ///
     /// Memory updates route to the owning shard and follow the §7.2
     /// classical-swap tie semantics of [`crate::model::execute_batch`]: an
@@ -671,15 +488,33 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         addresses: &[AddressState],
         memory_updates: &[(u64, u64, u64)],
     ) -> Result<Vec<QueryOutcome>, ExecError> {
-        // One worker-count check per batch: on a single-core host the
-        // `parallel` feature degrades gracefully to the sequential path
-        // (no thread-spawn overhead), so enabling it is never a
-        // pessimization.
-        #[cfg(feature = "parallel")]
-        let parallel = crate::exec::parallel_worker_count() > 1;
-        #[cfg(not(feature = "parallel"))]
-        let parallel = false;
-        self.execute_queries_impl(memory, addresses, memory_updates, parallel, true)
+        let Some(plan) = self.shards[0].compiled_query() else {
+            return self.execute_queries_sequential(memory, addresses, memory_updates);
+        };
+        let mut shard_mems = self.shard_memories(memory);
+        if addresses.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Retrieval layers only order queries against memory writes; an
+        // update-free batch needs none.
+        let retrievals: Vec<u64> = if memory_updates.is_empty() {
+            Vec::new()
+        } else {
+            (0..addresses.len())
+                .map(|q| self.retrieval_layer(q))
+                .collect()
+        };
+        // Bit-equal to the interpreter sweep (property-tested), infallible
+        // by compile-time proof.
+        Ok(crate::soa::execute_sharded_columnar(
+            &plan,
+            &mut shard_mems,
+            self.shard_bits(),
+            self.capacity.address_width(),
+            addresses,
+            &retrievals,
+            memory_updates,
+        ))
     }
 }
 
@@ -932,79 +767,6 @@ mod tests {
         let s = ShardedQram::fat_tree(cap(16), 2);
         let mem = ClassicalMemory::zeros(8);
         let _ = s.execute_queries(&mem, &[], &[]);
-    }
-
-    #[test]
-    fn parallel_and_sequential_shard_execution_agree() {
-        // Wide superpositions (≥ the parallel branch threshold) so the
-        // `parallel` feature's shard fan-out engages on multi-core hosts;
-        // without the feature (or with one worker) both calls share the
-        // sequential path. The scoped fan-out itself is exercised
-        // unconditionally by `scoped_shard_fanout_matches_sequential`.
-        let s = ShardedQram::fat_tree(cap(256), 4);
-        let cells: Vec<u64> = (0..256).map(|i| (i * 3 + 1) % 2).collect();
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addresses = vec![
-            AddressState::full_superposition(8),
-            AddressState::uniform(8, &(0..128u64).collect::<Vec<_>>()).unwrap(),
-            AddressState::classical(8, 17).unwrap(),
-        ];
-        let updates = [(15u64, 17u64, 1u64), (40, 3, 1)];
-        let par = s.execute_queries(&mem, &addresses, &updates).unwrap();
-        let seq = s
-            .execute_queries_sequential(&mem, &addresses, &updates)
-            .unwrap();
-        assert_eq!(par, seq);
-        for (address, out) in addresses.iter().zip(&seq) {
-            assert!(out.num_branches() == address.num_branches());
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn scoped_shard_fanout_matches_sequential() {
-        // Drives the scoped-thread fan-out directly (bypassing the
-        // per-batch worker-count gate), so the threaded path runs even on
-        // single-core CI hosts and must equal the pinned sequential path.
-        let s = ShardedQram::fat_tree(cap(256), 4);
-        let cells: Vec<u64> = (0..256).map(|i| (i * 7 + 2) % 2).collect();
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let shard_mems = s.shard_memories(&mem);
-        let layers = s.shards()[0].interned_query_layers();
-        let addr = AddressState::full_superposition(8);
-        let par = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, None, true)
-            .unwrap();
-        let seq = s
-            .run_query_across_shards(&addr, &shard_mems, &layers, None, false)
-            .unwrap();
-        assert_eq!(par, seq);
-        assert!((par.fidelity(&mem.ideal_query(&addr)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compiled_shard_plan_matches_interpreter_paths() {
-        // The compiled fast path (plan passed) must recombine branch-
-        // for-branch identically to the interpreter fan-out paths.
-        let s = ShardedQram::fat_tree(cap(64), 4);
-        let cells: Vec<u64> = (0..64).map(|i| (i * 11 + 3) % 2).collect();
-        let mem = ClassicalMemory::from_words(1, &cells).unwrap();
-        let shard_mems = s.shard_memories(&mem);
-        let layers = s.shards()[0].interned_query_layers();
-        let plan = s.shards()[0].compiled_query().expect("built-in plan");
-        for addr in [
-            AddressState::full_superposition(6),
-            AddressState::uniform(6, &[0, 5, 17, 42]).unwrap(),
-            AddressState::classical(6, 63).unwrap(),
-        ] {
-            let compiled = s
-                .run_query_across_shards(&addr, &shard_mems, &layers, Some(&plan), false)
-                .unwrap();
-            let interpreted = s
-                .run_query_across_shards(&addr, &shard_mems, &layers, None, false)
-                .unwrap();
-            assert_eq!(compiled, interpreted);
-        }
     }
 
     #[test]

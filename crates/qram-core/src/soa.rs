@@ -15,11 +15,9 @@
 //!   Memo-cache accounting is computed per epoch from the address column
 //!   directly — distinct single-branch sets via a reusable bitmap,
 //!   distinct multi-branch sets by sorting the epoch's query indices by
-//!   address slice — instead of one hash probe per query. The counters
-//!   are bit-equal to the row-at-a-time memo
-//!   ([`execute_batch_rowwise`](crate::execute_batch_rowwise)) because
-//!   both count, per epoch, one miss per distinct address set and one hit
-//!   for every further query over a set already seen in that epoch.
+//!   address slice — instead of one hash probe per query. Per epoch, the
+//!   counters report one miss per distinct address set and one hit for
+//!   every further query over a set already seen in that epoch.
 //! * **Bit-parallel retrieval** — for 1-bit buses the epoch's retrieval
 //!   parities are gathered from a packed memory image (cell `a` → bit
 //!   `a mod 64` of word `a / 64`), accumulating 64 branches per `u64`
@@ -37,9 +35,9 @@
 //!
 //! The interpreter ([`crate::execute_batch_unmemoized`],
 //! `ShardedQram::execute_queries_sequential`) stays untouched as the
-//! property-tested reference; workspace-level proptests pin this kernel
-//! bit-equal to it (outcomes, error ordering, and
-//! [`BatchCacheStats`]) on every backend.
+//! property-tested reference; workspace-level proptests pin this kernel's
+//! outcomes bit-equal to it on every backend, and its [`BatchCacheStats`]
+//! to an independent per-epoch count of distinct address sets.
 
 use std::sync::Arc;
 
@@ -115,12 +113,11 @@ impl StatsScratch {
     }
 
     /// Counts the distinct address sets among `pending` and folds them
-    /// into `stats` exactly as the row-at-a-time memo would: per epoch,
-    /// one miss per distinct set, one hit per repeat. Single-branch sets
-    /// (the common serving shape) are deduplicated through the bitmap in
-    /// O(1) each; multi-branch sets by sorting their query indices by
-    /// address slice (sets of different sizes can never collide, so the
-    /// two classes count independently).
+    /// into `stats`: per epoch, one miss per distinct set, one hit per
+    /// repeat. Single-branch sets (the common serving shape) are
+    /// deduplicated through the bitmap in O(1) each; multi-branch sets by
+    /// sorting their query indices by address slice (sets of different
+    /// sizes can never collide, so the two classes count independently).
     fn account(&mut self, pending: &[usize], cols: &Columns, stats: &mut BatchCacheStats) {
         let mut distinct = 0u64;
         self.multi.clear();

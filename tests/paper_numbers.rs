@@ -1,5 +1,7 @@
 //! The paper's headline numbers, asserted end to end. Each test cites the
-//! table or figure it reproduces; EXPERIMENTS.md records the mapping.
+//! table or figure it reproduces; the `qram-bench` target named after that
+//! table or figure (`cargo bench -p qram-bench --bench table1`, …) prints
+//! the full rows.
 
 use fat_tree_qram::algos::{algorithm_depth, sweep_cell, ParallelAlgorithm};
 use fat_tree_qram::arch::{Architecture, CostModel, NodeLayout, OnChipPlan};

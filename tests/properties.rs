@@ -1,10 +1,11 @@
 //! Property-based tests over the core invariants of the reproduction.
 
-use fat_tree_qram::core::exec::{execute_layers, execute_layers_sequential};
+use std::collections::HashSet;
+
+use fat_tree_qram::core::exec::execute_layers;
 use fat_tree_qram::core::{
-    execute_batch, execute_batch_rowwise, execute_batch_traced, execute_batch_unmemoized,
-    BucketBrigadeQram, CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag,
-    ShardedQram,
+    execute_batch_traced, execute_batch_unmemoized, BatchCacheStats, BucketBrigadeQram,
+    CompiledQuery, FatTreeQram, Op, PipelineSchedule, QramModel, QubitTag, ShardedQram,
 };
 use fat_tree_qram::metrics::{Capacity, Layers};
 use fat_tree_qram::noise::distilled_infidelity;
@@ -267,47 +268,12 @@ proptest! {
         prop_assert!(once <= eps + 1e-15);
     }
 
-    /// The dispatching executor (`execute_layers`, branch-parallel under
-    /// the `parallel` feature) and the pinned sequential reference return
-    /// identical `Execution`s — outcome terms, gate counts, everything —
-    /// on both instruction-stream architectures, including superpositions
-    /// wide enough to cross the parallel branch threshold.
+    /// `ShardedQram::execute_queries` (the columnar kernel) equals the
+    /// interpreter oracle `execute_queries_sequential` on batches of wide,
+    /// shard-spanning superpositions with interleaved memory writes, for
+    /// Fat-Tree and bucket-brigade shards and K ∈ {2, 4, 8}.
     #[test]
-    fn parallel_and_sequential_executors_agree(
-        n in 4u32..=8,
-        seed_cells in prop::collection::vec(0u64..2, 1..256),
-        stride in 1u64..37,
-        branch_count in 1usize..200,
-    ) {
-        let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let mut addresses: Vec<u64> = (0..branch_count as u64)
-            .map(|i| (i * stride) % capacity)
-            .collect();
-        addresses.sort_unstable();
-        addresses.dedup();
-        let address = AddressState::uniform(n, &addresses).unwrap();
-        let cap = Capacity::new(capacity).unwrap();
-        let backends: [Box<dyn QramModel>; 2] = [
-            Box::new(BucketBrigadeQram::new(cap)),
-            Box::new(FatTreeQram::new(cap)),
-        ];
-        for backend in &backends {
-            let layers = backend.interned_query_layers();
-            let auto = execute_layers(&layers, &memory, &address).unwrap();
-            let seq = execute_layers_sequential(&layers, &memory, &address).unwrap();
-            prop_assert_eq!(&auto, &seq);
-        }
-    }
-
-    /// `ShardedQram::execute_queries` (shard-parallel under the `parallel`
-    /// feature) equals its pinned sequential reference on random batches
-    /// with interleaved memory writes, for Fat-Tree and bucket-brigade
-    /// shards.
-    #[test]
-    fn sharded_parallel_and_sequential_agree(
+    fn sharded_columnar_and_sequential_agree(
         n in 4u32..=6,
         k_exp in 1u32..=3,
         seed_cells in prop::collection::vec(0u64..2, 1..64),
@@ -321,8 +287,6 @@ proptest! {
         let mut cells = seed_cells;
         cells.resize(capacity as usize, 0);
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        // Wide superpositions so the parallel path's branch threshold is
-        // crossed for most cases.
         let addresses: Vec<AddressState> = query_strides
             .iter()
             .map(|&stride| {
@@ -339,16 +303,18 @@ proptest! {
         let cap = Capacity::new(capacity).unwrap();
         let ft = ShardedQram::fat_tree(cap, k);
         let bb = ShardedQram::bucket_brigade(cap, k);
-        let ft_par = ft.execute_queries(&memory, &addresses, &updates).unwrap();
+        let ft_columnar = ft.execute_queries(&memory, &addresses, &updates).unwrap();
         let ft_seq = ft.execute_queries_sequential(&memory, &addresses, &updates).unwrap();
-        prop_assert_eq!(ft_par, ft_seq);
-        let bb_par = bb.execute_queries(&memory, &addresses, &updates).unwrap();
+        prop_assert_eq!(ft_columnar, ft_seq);
+        let bb_columnar = bb.execute_queries(&memory, &addresses, &updates).unwrap();
         let bb_seq = bb.execute_queries_sequential(&memory, &addresses, &updates).unwrap();
-        prop_assert_eq!(bb_par, bb_seq);
+        prop_assert_eq!(bb_columnar, bb_seq);
     }
 
-    /// Memoized batch execution equals the unmemoized reference across
-    /// interleaved memory writes on all three backends: repeated address
+    /// Memoized batch execution (`execute_batch_traced`: the columnar
+    /// kernel on every built-in backend) equals the unmemoized interpreter
+    /// oracle across interleaved memory writes on all three backends, and
+    /// its `BatchCacheStats` match an independent count: repeated address
     /// sets force cache hits, and every write's epoch bump must invalidate
     /// exactly as §7.2 requires.
     #[test]
@@ -356,7 +322,7 @@ proptest! {
         n in 3u32..=5,
         seed_cells in prop::collection::vec(0u64..2, 1..32),
         // Few distinct addresses over many queries → plenty of repeats.
-        query_addrs in prop::collection::vec(0u64..4, 2..12),
+        query_addrs in prop::collection::vec(0u64..6, 2..12),
         // Encoded (layer, address, value) triples, as above.
         updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
     ) {
@@ -379,12 +345,17 @@ proptest! {
             Box::new(ShardedQram::fat_tree(cap, 2)),
         ];
         for backend in &backends {
-            let memoized =
-                execute_batch(backend.as_ref(), &memory, &addresses, &updates).unwrap();
+            let (memoized, stats) =
+                execute_batch_traced(backend.as_ref(), &memory, &addresses, &updates).unwrap();
             let plain =
                 execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
                     .unwrap();
             prop_assert_eq!(&memoized, &plain);
+            let expected = expected_cache_stats(backend.as_ref(), &addresses, &updates);
+            prop_assert!(
+                stats == expected,
+                "{} memo stats diverge: {stats:?} != {expected:?}", backend.name()
+            );
         }
     }
 
@@ -392,8 +363,7 @@ proptest! {
     /// on all three backends: same outcomes and same gate counts for
     /// random memories and superpositions. `execute_query_traced` takes
     /// the compiled path (every built-in backend exposes a plan), and is
-    /// compared against the pinned sequential interpreter run over the
-    /// same interned stream.
+    /// compared against the interpreter run over the same interned stream.
     #[test]
     fn compiled_plans_match_interpreter_on_all_backends(
         n in 2u32..=6,
@@ -420,12 +390,8 @@ proptest! {
                 "{} must expose a compiled plan", backend.name()
             );
             let compiled = backend.execute_query_traced(&memory, &address).unwrap();
-            let interpreted = execute_layers_sequential(
-                &backend.interned_query_layers(),
-                &memory,
-                &address,
-            )
-            .unwrap();
+            let interpreted =
+                execute_layers(&backend.interned_query_layers(), &memory, &address).unwrap();
             prop_assert!(
                 compiled == interpreted,
                 "{} compiled != interpreted", backend.name()
@@ -523,7 +489,7 @@ proptest! {
             _ => layers[layer].ops.push(Op::Load(QubitTag::Bus)),
         }
         let compiled = CompiledQuery::compile(n, &layers);
-        let interpreted = execute_layers_sequential(&layers, &memory, &address);
+        let interpreted = execute_layers(&layers, &memory, &address);
         match (compiled, interpreted) {
             (Ok(plan), Ok(exec)) => {
                 prop_assert_eq!(plan.execute(&memory, &address), exec);
@@ -547,63 +513,11 @@ proptest! {
         }
     }
 
-    /// The columnar structure-of-arrays kernel (`execute_batch_traced`,
-    /// taken whenever the backend exposes a compiled plan) is bit-equal to
-    /// the pinned row-at-a-time memoized path (`execute_batch_rowwise`)
-    /// and to the pure interpreter (`execute_batch_unmemoized`) across
-    /// interleaved §7.2 memory writes — outcomes *and* `BatchCacheStats`
-    /// (the columnar kernel computes hit/miss counts analytically per
-    /// epoch; they must match the row memo's probe-by-probe accounting).
-    #[test]
-    fn columnar_kernel_matches_rowwise_and_interpreter(
-        n in 3u32..=5,
-        seed_cells in prop::collection::vec(0u64..2, 1..32),
-        // Few distinct addresses over many queries → plenty of memo hits.
-        query_addrs in prop::collection::vec(0u64..6, 2..12),
-        // Encoded (layer, address, value) triples (the vendored proptest
-        // has no tuple strategies).
-        updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
-    ) {
-        let capacity = 1u64 << n;
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addresses: Vec<AddressState> = query_addrs
-            .iter()
-            .map(|&a| AddressState::classical(n, a % capacity).unwrap())
-            .collect();
-        let updates: Vec<(u64, u64, u64)> = updates
-            .into_iter()
-            .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
-            .collect();
-        let cap = Capacity::new(capacity).unwrap();
-        let backends: [Box<dyn QramModel>; 3] = [
-            Box::new(BucketBrigadeQram::new(cap)),
-            Box::new(FatTreeQram::new(cap)),
-            Box::new(ShardedQram::fat_tree(cap, 2)),
-        ];
-        for backend in &backends {
-            let (col_outs, col_stats) =
-                execute_batch_traced(backend.as_ref(), &memory, &addresses, &updates).unwrap();
-            let (row_outs, row_stats) =
-                execute_batch_rowwise(backend.as_ref(), &memory, &addresses, &updates).unwrap();
-            prop_assert!(col_outs == row_outs, "{} columnar outcomes diverge", backend.name());
-            prop_assert!(
-                col_stats == row_stats,
-                "{} columnar stats diverge: {col_stats:?} != {row_stats:?}", backend.name()
-            );
-            let plain =
-                execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
-                    .unwrap();
-            prop_assert!(col_outs == plain, "{} diverges from interpreter", backend.name());
-        }
-    }
-
     /// A Zipf-skewed batch — wide superpositions whose branches pile onto
     /// one hot shard, mixed with a minority of cross-shard queries — is
-    /// identical under `execute_queries` (columnar kernel; work-stealing
-    /// fan-out on the interpreter path) and the pinned sequential
-    /// reference, with interleaved writes landing on the hot shard.
+    /// identical under `execute_queries` (columnar kernel) and the
+    /// interpreter oracle `execute_queries_sequential`, with interleaved
+    /// writes landing on the hot shard.
     #[test]
     fn skewed_shard_loads_keep_deterministic_outcomes(
         n in 5u32..=7,
@@ -665,74 +579,29 @@ proptest! {
     }
 }
 
-/// Work-stealing determinism. `QRAM_NUM_THREADS` is read once per process
-/// (`OnceLock`), so the worker-count sweep goes through the explicit-count
-/// entry point `execute_layers_parallel_with_workers` — the same deque the
-/// env var configures — for counts 1, 2, and 8.
-#[cfg(feature = "parallel")]
-mod work_stealing {
-    use fat_tree_qram::core::exec::{
-        execute_layers_parallel_with_workers, execute_layers_sequential,
-    };
-    use fat_tree_qram::core::{Op, QramModel, QubitTag};
-    use fat_tree_qram::metrics::Capacity;
-    use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The work-stealing branch fan-out returns the sequential
-        /// interpreter's exact `Execution` — outcomes, gate counts, and,
-        /// on corrupted streams, the same first error — regardless of
-        /// worker count (1 worker degenerates to one thread draining every
-        /// chunk; 8 workers on skewed chunk sizes forces steals).
-        #[test]
-        fn stealing_fan_out_matches_sequential_for_any_worker_count(
-            n in 4u32..=7,
-            arch_pick in 0u64..2,
-            seed_cells in prop::collection::vec(0u64..2, 1..128),
-            stride in 1u64..37,
-            corrupt in 0u64..3,
-            position in 0u64..10_000,
-        ) {
-            let capacity = 1u64 << n;
-            let mut cells = seed_cells;
-            cells.resize(capacity as usize, 0);
-            let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-            // Wide, stride-clustered superpositions: enough branches to
-            // cut into many chunks, unevenly enough to provoke stealing.
-            let mut picks: Vec<u64> = (0..capacity).map(|i| (i * stride) % capacity).collect();
-            picks.sort_unstable();
-            picks.dedup();
-            let address = AddressState::uniform(n, &picks).unwrap();
-            let cap = Capacity::new(capacity).unwrap();
-            let arch: Box<dyn QramModel> = if arch_pick == 1 {
-                Box::new(fat_tree_qram::core::FatTreeQram::new(cap))
-            } else {
-                Box::new(fat_tree_qram::core::BucketBrigadeQram::new(cap))
-            };
-            let mut layers = arch.query_layers();
-            let layer = (position as usize) % layers.len();
-            match corrupt {
-                0 => {} // valid stream
-                1 => layers[layer].ops.push(Op::Store(position as u32 % n)),
-                _ => layers[layer].ops.push(Op::Load(QubitTag::Bus)),
-            }
-            let reference = execute_layers_sequential(&layers, &memory, &address);
-            for workers in [1usize, 2, 8] {
-                let stolen =
-                    execute_layers_parallel_with_workers(&layers, &memory, &address, workers);
-                match (&stolen, &reference) {
-                    (Ok(a), Ok(b)) => prop_assert!(a == b, "{workers} workers diverge"),
-                    (Err(a), Err(b)) => prop_assert!(
-                        a == b,
-                        "{workers} workers surface error {a:?}, sequential {b:?}"
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{workers} workers disagree with sequential on Ok/Err"
-                    ),
-                }
-            }
+/// Independent memo accounting for `execute_batch_traced`: a query's
+/// memory epoch is the number of writes at or before its retrieval layer
+/// (the §7.2 tie rule); per epoch, each distinct address set is one miss
+/// and every repeat of it one hit.
+fn expected_cache_stats(
+    model: &dyn QramModel,
+    addresses: &[AddressState],
+    updates: &[(u64, u64, u64)],
+) -> BatchCacheStats {
+    let mut seen = HashSet::new();
+    let mut stats = BatchCacheStats::default();
+    for (q, address) in addresses.iter().enumerate() {
+        let retrieval = model.retrieval_layer(q);
+        let epoch = updates
+            .iter()
+            .filter(|&&(layer, _, _)| layer <= retrieval)
+            .count();
+        let set: Vec<u64> = address.iter().map(|&(_, a)| a).collect();
+        if seen.insert((epoch, set)) {
+            stats.misses += 1;
+        } else {
+            stats.hits += 1;
         }
     }
+    stats
 }
