@@ -359,6 +359,67 @@ proptest! {
         }
     }
 
+    /// The columnar kernel (`execute_batch_traced`) equals a row-wise
+    /// reference — each query run alone through `execute_query_traced`
+    /// against its own copy of memory carrying exactly the writes at or
+    /// before its retrieval layer — and the batch interpreter
+    /// (`execute_batch_unmemoized`) on all three backends, with the cache
+    /// statistics matching the independent per-epoch count.
+    #[test]
+    fn columnar_kernel_matches_rowwise_and_interpreter(
+        n in 3u32..=5,
+        seed_cells in prop::collection::vec(0u64..2, 1..32),
+        // Few distinct addresses over many queries → plenty of memo hits.
+        query_addrs in prop::collection::vec(0u64..6, 2..12),
+        // Encoded (layer, address, value) triples, as above.
+        updates in prop::collection::vec(0u64..(300 * 32 * 2), 0..6),
+    ) {
+        let capacity = 1u64 << n;
+        let mut cells = seed_cells;
+        cells.resize(capacity as usize, 0);
+        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
+        let addresses: Vec<AddressState> = query_addrs
+            .iter()
+            .map(|&a| AddressState::classical(n, a % capacity).unwrap())
+            .collect();
+        let updates: Vec<(u64, u64, u64)> = updates
+            .into_iter()
+            .map(|enc| (enc / 64, (enc / 2) % capacity, enc % 2))
+            .collect();
+        // Writes in delivery order: by layer, ties in batch order.
+        let mut delivered = updates.clone();
+        delivered.sort_by_key(|&(layer, _, _)| layer);
+        let cap = Capacity::new(capacity).unwrap();
+        let backends: [Box<dyn QramModel>; 3] = [
+            Box::new(BucketBrigadeQram::new(cap)),
+            Box::new(FatTreeQram::new(cap)),
+            Box::new(ShardedQram::fat_tree(cap, 2)),
+        ];
+        for backend in &backends {
+            let (col_outs, col_stats) =
+                execute_batch_traced(backend.as_ref(), &memory, &addresses, &updates).unwrap();
+            let mut row_outs = Vec::with_capacity(addresses.len());
+            for (q, address) in addresses.iter().enumerate() {
+                let retrieval = backend.retrieval_layer(q);
+                let mut mem = memory.clone();
+                for &(_, cell, value) in delivered.iter().filter(|u| u.0 <= retrieval) {
+                    mem.write(cell, value);
+                }
+                row_outs.push(backend.execute_query_traced(&mem, address).unwrap().outcome);
+            }
+            prop_assert!(col_outs == row_outs, "{} columnar outcomes diverge", backend.name());
+            let expected = expected_cache_stats(backend.as_ref(), &addresses, &updates);
+            prop_assert!(
+                col_stats == expected,
+                "{} columnar stats diverge: {col_stats:?} != {expected:?}", backend.name()
+            );
+            let plain =
+                execute_batch_unmemoized(backend.as_ref(), &memory, &addresses, &updates)
+                    .unwrap();
+            prop_assert!(col_outs == plain, "{} diverges from interpreter", backend.name());
+        }
+    }
+
     /// Compiled query plans are observably identical to the interpreter
     /// on all three backends: same outcomes and same gate counts for
     /// random memories and superpositions. `execute_query_traced` takes
