@@ -549,19 +549,20 @@ impl FleetReport {
 /// ```
 #[derive(Debug)]
 pub struct QramFleet<
-    M: QramModel + Clone,
+    M: QramModel,
     P: AdmissionPolicy = FifoAdmission,
     L: PlacementPolicy = ConsistentHashPlacement,
 > {
-    backends: Vec<ShardedQram<M>>,
+    backend: ShardedQram<M>,
+    replicas: usize,
     timing: TimingModel,
     policy: P,
     placement: L,
     config: FleetConfig,
 }
 
-impl<M: QramModel + Clone> QramFleet<M, FifoAdmission, ConsistentHashPlacement> {
-    /// A FIFO fleet of `replicas` copies of `qram` under consistent-hash
+impl<M: QramModel> QramFleet<M, FifoAdmission, ConsistentHashPlacement> {
+    /// A FIFO fleet of `replicas` replicas of `qram` under consistent-hash
     /// placement, unbounded queues, and instant replication.
     ///
     /// # Panics
@@ -580,8 +581,8 @@ impl<M: QramModel + Clone> QramFleet<M, FifoAdmission, ConsistentHashPlacement> 
     }
 }
 
-impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
-    /// A fleet of `replicas` copies of `qram` with explicit admission
+impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
+    /// A fleet of `replicas` replicas of `qram` with explicit admission
     /// policy, placement policy, and configuration.
     ///
     /// # Panics
@@ -598,7 +599,8 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     ) -> Self {
         assert!(replicas >= 1, "a fleet needs at least one replica");
         QramFleet {
-            backends: vec![qram; replicas],
+            backend: qram,
+            replicas,
             timing,
             policy,
             placement,
@@ -609,27 +611,34 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
     /// The fleet size `R`.
     #[must_use]
     pub fn num_replicas(&self) -> usize {
-        self.backends.len()
+        self.replicas
     }
 
-    /// The backend serving replica `replica`.
+    /// The backend serving replica `replica`. Replicas are identical, so
+    /// every index shares one backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is out of range.
     #[must_use]
     pub fn backend(&self, replica: usize) -> &ShardedQram<M> {
-        &self.backends[replica]
+        assert!(replica < self.replicas, "replica {replica} out of range");
+        &self.backend
     }
 
     /// The pipelined server equivalent to each replica.
     #[must_use]
     pub fn equivalent_server(&self) -> QramServer {
-        QramServer::for_model(&self.backends[0], &self.timing)
+        QramServer::for_model(&self.backend, &self.timing)
     }
 
     /// Serves a batch of requests (and write commits) to completion:
     /// routes every arrival through quota / SLO shedding and the
     /// placement policy onto a replica core, interleaves write commits
-    /// and replication with dispatching in one discrete-event loop, then
-    /// executes each replica's dispatched queries against the memory
-    /// versions they observed.
+    /// and replication with dispatching in one discrete-event loop. Each
+    /// query reads its replica's memory as it stood at dispatch: a
+    /// replica's dispatches execute in batches against its live image,
+    /// settled just before anything changes that image.
     ///
     /// Requests and writes may be supplied in any order (the reactor
     /// orders them by instant; same-instant arrivals precede write
@@ -677,18 +686,18 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
     ) -> Result<FleetReport, ExecError> {
-        let num_replicas = self.backends.len();
+        let num_replicas = self.replicas;
         let server = self.equivalent_server();
         let aggregate_cap = self
             .policy
             .in_flight_cap(&server)
             .clamp(1, server.parallelism());
-        let address_width = self.backends[0].capacity().address_width();
+        let address_width = self.backend.capacity().address_width();
         let mut replicas: Vec<Replica> = (0..num_replicas)
             .map(|_| {
                 Replica::new(
-                    self.backends[0].num_shards() as usize,
-                    self.backends[0].shard_parallelism(),
+                    self.backend.num_shards() as usize,
+                    self.backend.shard_parallelism(),
                     server.interval(),
                     server.latency(),
                     aggregate_cap,
@@ -929,11 +938,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                     hi += 1;
                 }
                 let snapshot = &snapshots[r][&epochs[lo]];
-                outcomes.extend(self.backends[r].execute_queries(
-                    snapshot,
-                    &addresses[lo..hi],
-                    &[],
-                )?);
+                outcomes.extend(
+                    self.backend
+                        .execute_queries(snapshot, &addresses[lo..hi], &[])?,
+                );
                 lo = hi;
             }
             outcomes_by_replica.push(outcomes);
@@ -1055,20 +1063,20 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         fault_config: &FaultConfig,
         store: Option<&mut DurableFleet>,
     ) -> Result<FleetReport, DurableServeError> {
-        let num_replicas = self.backends.len();
-        let num_shards = self.backends[0].num_shards() as usize;
+        let num_replicas = self.replicas;
+        let num_shards = self.backend.num_shards() as usize;
         let server = self.equivalent_server();
         let aggregate_cap = self
             .policy
             .in_flight_cap(&server)
             .clamp(1, server.parallelism());
         let latency = server.latency();
-        let address_width = self.backends[0].capacity().address_width();
+        let address_width = self.backend.capacity().address_width();
         let mut replicas: Vec<Replica> = (0..num_replicas)
             .map(|_| {
                 Replica::new(
                     num_shards,
-                    self.backends[0].shard_parallelism(),
+                    self.backend.shard_parallelism(),
                     server.interval(),
                     latency,
                     aggregate_cap,
@@ -1077,10 +1085,12 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
             })
             .collect();
 
+        let qram = &self.backend;
         let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        let mut snapshots: Vec<BTreeMap<u64, ClassicalMemory>> = (0..num_replicas)
-            .map(|_| BTreeMap::from([(0, memory.clone())]))
-            .collect();
+        // Outcomes of each replica's dispatches executed so far — a
+        // prefix of its dispatch order, extended by `settle` before every
+        // change to that replica's memory.
+        let mut executed: Vec<Vec<QueryOutcome>> = vec![Vec::new(); num_replicas];
         let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
         let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
         // Which admitted query each dispatch belongs to, and whether its
@@ -1356,6 +1366,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 .find(|&r| alive[r])
                                 .unwrap_or(write.origin)
                         };
+                        settle(qram, &replicated, &replicas, &mut executed, origin)?;
                         let epoch = replicated.write_at(origin, write.address, write.value);
                         let mut synced_to = None;
                         if let Some(d) = durability.as_mut() {
@@ -1390,8 +1401,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 }
                             }
                         }
-                        let applied = replicated.applied_epoch(origin);
-                        snapshots[origin].insert(applied, replicated.memory(origin).clone());
                         if num_replicas > 1 {
                             if durability.is_some() {
                                 // Ack-at-sync: replication (and with it
@@ -1430,12 +1439,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                     Event::Replicate { epoch } => {
                         // Dead replicas miss the catch-up; recovery replay
                         // carries them past it before they rejoin.
-                        for (r, snaps) in snapshots.iter_mut().enumerate() {
-                            if alive[r] && replicated.catch_up_to(r, epoch) > 0 {
-                                snaps.insert(
-                                    replicated.applied_epoch(r),
-                                    replicated.memory(r).clone(),
-                                );
+                        for r in (0..num_replicas).filter(|&r| alive[r]) {
+                            if replicated.applied_epoch(r) < epoch {
+                                settle(qram, &replicated, &replicas, &mut executed, r)?;
+                                replicated.catch_up_to(r, epoch);
                             }
                         }
                     }
@@ -1561,6 +1568,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         // a re-crash clears it and this firing is stale.
                         if alive[replica] && rejoin_at[replica] == Some(now.get()) {
                             rejoin_at[replica] = None;
+                            settle(qram, &replicated, &replicas, &mut executed, replica)?;
                             if let Some(d) = durability.as_mut() {
                                 // Land the open commit group first so
                                 // the rejoin audit sees the full synced
@@ -1595,10 +1603,6 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 replicated.lag(replica),
                                 0,
                                 "a rejoined replica is fully caught up"
-                            );
-                            snapshots[replica].insert(
-                                replicated.applied_epoch(replica),
-                                replicated.memory(replica).clone(),
                             );
                             health[replica] = ReplicaHealth::Healthy;
                             counters.recoveries += 1;
@@ -1713,12 +1717,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                                 );
                             }
                             repl_scheduled = repl_scheduled.max(to);
-                            d.scrub(
-                                &mut replicated,
-                                &alive,
-                                fault_config.scrub_chunk_cells,
-                                &mut snapshots,
-                            )?;
+                            for r in (0..num_replicas).filter(|&r| alive[r]) {
+                                settle(qram, &replicated, &replicas, &mut executed, r)?;
+                            }
+                            d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
                         }
                         if let Some(interval) = fault_config.scrub_interval {
                             if open > 0 || arrivals.peek().is_some() {
@@ -1751,15 +1753,11 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
                         // Media corruption: one bit flips in the live
                         // replica image, bypassing the replication log —
                         // invisible to staleness tracking, caught only by
-                        // a scrub's digest comparison. The snapshot at
-                        // the replica's applied epoch is poisoned too, so
-                        // queries batched against that version observe
-                        // the corruption until a scrub repairs it (the
-                        // snapshot table keys on epoch, so the version's
-                        // final image decides what its dispatches serve).
+                        // a scrub's digest comparison. Dispatches settled
+                        // first read the clean cell; later ones read the
+                        // flipped bit until a scrub repairs the replica.
+                        settle(qram, &replicated, &replicas, &mut executed, replica)?;
                         replicated.corrupt_replica_cell(replica, cell % total_cells);
-                        let applied = replicated.applied_epoch(replica);
-                        snapshots[replica].insert(applied, replicated.memory(replica).clone());
                     }
                     Event::Retry { qid } => {
                         if !states[qid].done {
@@ -1920,12 +1918,10 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         // found and repaired before the report closes.
         if fault_config.scrub_interval.is_some() {
             if let Some(d) = durability.as_mut() {
-                d.scrub(
-                    &mut replicated,
-                    &alive,
-                    fault_config.scrub_chunk_cells,
-                    &mut snapshots,
-                )?;
+                for r in (0..num_replicas).filter(|&r| alive[r]) {
+                    settle(qram, &replicated, &replicas, &mut executed, r)?;
+                }
+                d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
             }
         }
 
@@ -1935,32 +1931,23 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         // Completed or Shed. (Queued hedge-loser copies may legitimately
         // strand on a crashed-and-never-detected replica, so queue
         // emptiness is NOT asserted here, unlike the fault-free loop.)
-        debug_assert!(
+        assert!(
             states.iter().all(|s| s.done),
             "every admitted query completes or sheds"
         );
-        debug_assert!(outstanding.values().all(|&n| n == 0));
+        assert!(outstanding.values().all(|&n| n == 0));
 
-        let mut outcomes_by_replica: Vec<Vec<QueryOutcome>> = Vec::with_capacity(num_replicas);
-        for (r, replica) in replicas.into_iter().enumerate() {
-            let addresses = replica.into_addresses();
-            let epochs = &dispatch_epochs[r];
-            let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(addresses.len());
-            let mut lo = 0;
-            while lo < addresses.len() {
-                let mut hi = lo + 1;
-                while hi < addresses.len() && epochs[hi] == epochs[lo] {
-                    hi += 1;
-                }
-                let snapshot = &snapshots[r][&epochs[lo]];
-                outcomes.extend(self.backends[r].execute_queries(
-                    snapshot,
-                    &addresses[lo..hi],
-                    &[],
-                )?);
-                lo = hi;
-            }
-            outcomes_by_replica.push(outcomes);
+        // The final settle runs each replica's remaining dispatches, last
+        // replica first, and drops it right after so its addresses are
+        // freed before the next replica executes.
+        for r in (0..num_replicas).rev() {
+            settle(qram, &replicated, &replicas, &mut executed, r)?;
+            let replica = replicas.pop().expect("one replica per index");
+            assert_eq!(
+                executed[r].len(),
+                replica.dispatch_count(),
+                "every dispatch executes exactly once"
+            );
         }
         // Align outcomes with the completion-ordered report. Unlike the
         // fault-free cursor walk, crashed and corrupted dispatches leave
@@ -1969,13 +1956,13 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
         // to the cursor walk when nothing faults).
         let outcomes: Vec<QueryOutcome> = completed_dispatch
             .iter()
-            .map(|&(r, index)| outcomes_by_replica[r][index].clone())
+            .map(|&(r, index)| executed[r][index].clone())
             .collect();
 
         // Corrupted completions were re-served under the retry budget;
         // verify the parity check would indeed have caught each one.
         for &(r, index) in &corrupted_served {
-            let clean = &outcomes_by_replica[r][index];
+            let clean = &executed[r][index];
             let delivered = corrupt_outcome(clean);
             if parity_bit(&delivered) != parity_bit(clean) {
                 counters.corruptions_detected += 1;
@@ -2001,7 +1988,7 @@ impl<M: QramModel + Clone, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, 
 /// Error from a durable serving run ([`QramFleet::serve_durable`]).
 #[derive(Debug)]
 pub enum DurableServeError {
-    /// Query execution against a memory snapshot failed.
+    /// Query execution against a replica's memory failed.
     Exec(ExecError),
     /// The durable store's directory failed.
     Store(StoreError),
@@ -2183,14 +2170,10 @@ impl<'a> Durability<'a> {
         replicated: &mut ReplicatedMemory,
         alive: &[bool],
         chunk_cells: usize,
-        snapshots: &mut [BTreeMap<u64, ClassicalMemory>],
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
-        for r in 0..replicated.num_replicas() {
-            if !alive[r] {
-                continue;
-            }
+        for r in (0..replicated.num_replicas()).filter(|&r| alive[r]) {
             let applied = replicated.applied_epoch(r);
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
@@ -2206,9 +2189,6 @@ impl<'a> Durability<'a> {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;
                 replicated.reset_replica(r, expected, applied);
-                // Un-poison the snapshot so the repaired version serves
-                // clean reads again.
-                snapshots[r].insert(applied, replicated.memory(r).clone());
             }
         }
         Ok(())
@@ -2235,6 +2215,23 @@ struct QueryState {
     last_replica: usize,
     hedged: bool,
     hedge_replica: Option<usize>,
+}
+
+/// Settles replica `r`: executes its dispatches that have not run yet
+/// against its live memory. Called just before anything changes that
+/// memory, so every query reads the image its replica held at dispatch.
+fn settle<M: QramModel>(
+    qram: &ShardedQram<M>,
+    replicated: &ReplicatedMemory,
+    replicas: &[Replica],
+    executed: &mut [Vec<QueryOutcome>],
+    r: usize,
+) -> Result<(), ExecError> {
+    let addresses = &replicas[r].addresses()[executed[r].len()..];
+    if !addresses.is_empty() {
+        executed[r].extend(qram.execute_queries(replicated.memory(r), addresses, &[])?);
+    }
+    Ok(())
 }
 
 /// Fans replication catch-ups out for fleet epochs `(from_excl,

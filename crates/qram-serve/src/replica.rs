@@ -56,7 +56,8 @@ impl CompletedQuery {
     }
 }
 
-/// A request sitting in a shard's dispatch queue.
+/// A request sitting in a shard's dispatch queue (its address rides
+/// beside it and moves into [`Replica::addresses`] at dispatch).
 #[derive(Debug)]
 struct Pending {
     id: usize,
@@ -71,7 +72,6 @@ struct Pending {
     arrival: Layers,
     /// Absolute instant after which the request may no longer dispatch.
     deadline: Option<Layers>,
-    address: AddressState,
 }
 
 /// A reactor event a replica asks its driver to schedule.
@@ -109,7 +109,7 @@ pub struct Replica {
     shard_parallelism: u32,
     aggregate_cap: u32,
     queue_capacity: Option<usize>,
-    shard_queues: Vec<VecDeque<Pending>>,
+    shard_queues: Vec<VecDeque<(Pending, AddressState)>>,
     pending_total: usize,
     accepted: usize,
     /// Accepted-order index of the next request to consume (dispatch or
@@ -120,6 +120,8 @@ pub struct Replica {
     stalled: Vec<bool>,
     /// Dispatch-ordered: (request, start, shard).
     dispatched: Vec<(Pending, Layers, usize)>,
+    /// Dispatch-ordered addresses, aligned with `dispatched`.
+    addresses: Vec<AddressState>,
     per_shard_dispatches: Vec<u64>,
     inflight: u32,
     shard_inflight: Vec<u32>,
@@ -160,6 +162,7 @@ impl Replica {
             next_seq: 0,
             stalled: vec![false; shards],
             dispatched: Vec::new(),
+            addresses: Vec::new(),
             per_shard_dispatches: vec![0; shards],
             inflight: 0,
             shard_inflight: vec![0; shards],
@@ -246,7 +249,7 @@ impl Replica {
     pub fn fail(&mut self) -> Vec<usize> {
         let mut drained: Vec<(usize, usize)> = Vec::with_capacity(self.pending_total);
         for queue in &mut self.shard_queues {
-            for pending in queue.drain(..) {
+            for (pending, _) in queue.drain(..) {
                 drained.push((pending.seq, pending.tag));
             }
         }
@@ -284,15 +287,17 @@ impl Replica {
         if !self.has_queue_room() {
             return false;
         }
-        self.shard_queues[self.accepted % self.shards].push_back(Pending {
-            id,
-            tag,
-            seq: self.accepted,
-            tenant,
-            arrival,
-            deadline,
+        self.shard_queues[self.accepted % self.shards].push_back((
+            Pending {
+                id,
+                tag,
+                seq: self.accepted,
+                tenant,
+                arrival,
+                deadline,
+            },
             address,
-        });
+        ));
         self.accepted += 1;
         self.pending_total += 1;
         true
@@ -353,7 +358,7 @@ impl Replica {
                 // shard and re-pumps.
                 break;
             }
-            let Some(head) = self.shard_queues[shard].front() else {
+            let Some((head, _)) = self.shard_queues[shard].front() else {
                 // Strict FIFO: the next accepted query has not arrived.
                 break;
             };
@@ -390,7 +395,7 @@ impl Replica {
                 // deadline: the request can never dispatch in time, so it
                 // expires now instead of waiting unboundedly. It consumes
                 // its round-robin slot but leaves no dispatch record.
-                let pending = self.shard_queues[shard].pop_front().expect("head exists");
+                let (pending, _) = self.shard_queues[shard].pop_front().expect("head exists");
                 self.pending_total -= 1;
                 self.next_seq += 1;
                 schedule(now, ReplicaEvent::Expired { tag: pending.tag });
@@ -405,7 +410,7 @@ impl Replica {
                 }
                 break;
             }
-            let pending = self.shard_queues[shard].pop_front().expect("head exists");
+            let (pending, address) = self.shard_queues[shard].pop_front().expect("head exists");
             self.pending_total -= 1;
             self.next_seq += 1;
             self.last_dispatch = Some(start);
@@ -417,19 +422,23 @@ impl Replica {
                 ReplicaEvent::Completion { index: next_index },
             );
             self.dispatched.push((pending, start, shard));
+            self.addresses.push(address);
         }
         first_new..self.dispatched.len()
     }
 
-    /// Consumes the replica, returning the dispatched addresses in
-    /// dispatch order — the batch the driver executes through the
-    /// backend's compiled-plan hot path.
+    /// The dispatched addresses in dispatch order — the driver executes
+    /// any suffix of them through the backend's compiled-plan hot path.
+    #[must_use]
+    pub fn addresses(&self) -> &[AddressState] {
+        &self.addresses
+    }
+
+    /// Consumes the replica, returning [`Replica::addresses`] without a
+    /// copy.
     #[must_use]
     pub fn into_addresses(self) -> Vec<AddressState> {
-        self.dispatched
-            .into_iter()
-            .map(|(pending, _, _)| pending.address)
-            .collect()
+        self.addresses
     }
 }
 

@@ -113,6 +113,51 @@ fn the_scrubber_repairs_divergence_back_to_digest_equality() {
 }
 
 #[test]
+fn reads_observe_the_replica_memory_at_dispatch() {
+    // Three reads of the probe cell bracket the corruption at t = 50 and
+    // the scrub at t = 75. Each read returns what its replica's memory
+    // held when it dispatched: clean before the flip, flipped after it,
+    // clean again once a scrub repaired the replica — never a value the
+    // memory only took later.
+    let served = |config: &FaultConfig| -> Vec<Option<u64>> {
+        let mut fleet = fifo_fleet(1, 2);
+        let plan = FaultPlan::none().with(Fault::DiskCorrupt {
+            replica: 0,
+            at: Layers::new(50.0),
+            cell: PROBE_CELL,
+        });
+        let requests = vec![
+            request(0, 10.0, PROBE_CELL),
+            request(1, 60.0, PROBE_CELL),
+            request(2, 100.0, PROBE_CELL),
+        ];
+        let report = fleet
+            .serve_with_faults(&checkerboard(64), requests, Vec::new(), &plan, config)
+            .unwrap();
+        (0..3)
+            .map(|id| {
+                let at = report
+                    .completed()
+                    .iter()
+                    .position(|c| c.id == id)
+                    .expect("every read completes");
+                report.outcomes()[at].data_for(PROBE_CELL)
+            })
+            .collect()
+    };
+    assert_eq!(
+        served(&scrub_config(75.0)),
+        vec![Some(0), Some(1), Some(0)],
+        "the scrub at t = 75 repairs the replica between the last two reads"
+    );
+    assert_eq!(
+        served(&FaultConfig::default()),
+        vec![Some(0), Some(1), Some(1)],
+        "without a scrub the flipped bit stays"
+    );
+}
+
+#[test]
 fn a_clean_run_gets_a_clean_bill_of_health() {
     // Scrubbing an undamaged fleet verifies chunks and repairs nothing —
     // and the writes it audits are all in the WAL ledger.
