@@ -427,7 +427,7 @@ impl Replica {
         first_new..self.dispatched.len()
     }
 
-    /// The dispatched addresses in dispatch order — the driver executes
+    /// The dispatched addresses in dispatch order — the fleet executes
     /// any suffix of them through the backend's compiled-plan hot path.
     #[must_use]
     pub fn addresses(&self) -> &[AddressState] {
