@@ -13,7 +13,7 @@
 //! percentage, not a duration).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{memory, record_scalar};
 use qram_core::{execute_batch, execute_batch_traced, execute_batch_unmemoized, FatTreeQram};
 use qram_metrics::Capacity;
 use qram_sched::ZipfAddresses;
@@ -23,11 +23,6 @@ const N: u64 = 4096;
 const ADDRESS_WIDTH: u32 = 12;
 const BATCH: usize = 1024;
 const SEED: u64 = 20250727;
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 5 + 1) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
 
 fn zipf_batch(theta: f64, count: usize) -> Vec<AddressState> {
     ZipfAddresses::new(Capacity::new(N).expect("power of two"), theta)
@@ -56,7 +51,7 @@ fn print_hit_rate_curve(qram: &FatTreeQram, mem: &ClassicalMemory) {
 
 fn bench_cache_hit_rate(c: &mut Criterion) {
     let qram = FatTreeQram::new(Capacity::new(N).expect("power of two"));
-    let mem = memory();
+    let mem = memory(N);
     print_hit_rate_curve(&qram, &mem);
     let headline = measured_hit_rate(&qram, &mem, 0.99, BATCH);
     println!(

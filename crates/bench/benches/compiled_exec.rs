@@ -17,23 +17,19 @@
 //! [`CompiledQuery`]: qram_core::CompiledQuery
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qram_bench::memory;
 use qram_core::exec::execute_layers;
 use qram_core::{execute_batch, execute_batch_unmemoized, FatTreeQram, QramModel, ShardedQram};
 use qram_metrics::Capacity;
-use qsim::branch::{AddressState, ClassicalMemory};
+use qsim::branch::AddressState;
 
 const ADDRESS_WIDTH: u32 = 10;
 const N: u64 = 1 << ADDRESS_WIDTH;
 
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
-
 /// Single-query shape of the `query_execution` group: 16 branches.
 fn bench_single_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("compiled_exec");
-    let mem = memory();
+    let mem = memory(N);
     let qram = FatTreeQram::new(Capacity::new(N).expect("power of two"));
     let layers = qram.interned_query_layers();
     let plan = qram.compiled_query().expect("built-in plan");

@@ -21,13 +21,12 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{memory, record_scalar};
 use qram_core::store::{
     CheckpointPolicy, DirOp, DurableFleet, GroupCommitPolicy, OsDir, SimDir, CHECKPOINT_TMP,
     DELTA_TMP,
 };
 use qram_core::ReplicatedWrite;
-use qsim::branch::ClassicalMemory;
 
 /// Memory size of the recovery arms (cells at bus width 1).
 const N: u64 = 4096;
@@ -48,11 +47,6 @@ const FULL_EVERY: u64 = 4608;
 const ROUND: u64 = 192;
 /// Commit-group sizes swept by the throughput measurement.
 const GROUPS: [usize; 4] = [1, 8, 32, 128];
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
 
 /// Write `epoch` of the hot-set workload: 13 is odd, so the addresses
 /// cycle through all [`HOT_CELLS`] residues, spread across the memory.
@@ -81,7 +75,7 @@ fn timed_round(tag: &str, group: usize) -> (Duration, u64) {
     let root = scratch(tag);
     let mut store = DurableFleet::create_with(
         Box::new(OsDir::open(&root).expect("open scratch dir")),
-        &memory(),
+        &memory(N),
         CheckpointPolicy::never(),
     )
     .expect("create store")
@@ -139,7 +133,7 @@ fn print_throughput_rows(_c: &mut Criterion) {
 /// Builds the crash image of [`EPOCHS`] hot-set writes under `policy`:
 /// only the surviving files, journal stripped.
 fn crash_image(policy: CheckpointPolicy) -> (SimDir, u64) {
-    let mut store = DurableFleet::create_with(Box::new(SimDir::new()), &memory(), policy)
+    let mut store = DurableFleet::create_with(Box::new(SimDir::new()), &memory(N), policy)
         .expect("create store");
     for e in 1..=EPOCHS {
         store.append(&hot_write(e)).expect("append");
@@ -258,7 +252,7 @@ fn bench_os_append(c: &mut Criterion) {
         let root = scratch(label);
         let mut store = DurableFleet::create_with(
             Box::new(OsDir::open(&root).expect("open scratch dir")),
-            &memory(),
+            &memory(N),
             CheckpointPolicy::never(),
         )
         .expect("create store")

@@ -16,12 +16,12 @@
 //! p99s land in the `CRITERION_JSON` baseline as scalars.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{capacity, memory, record_scalar};
 use qram_core::{QramModel, ShardedQram};
-use qram_metrics::{Capacity, TimingModel};
+use qram_metrics::TimingModel;
 use qram_sched::{flash_crowd_arrivals, poisson_arrivals, FifoAdmission, QuotaAdmission, TenantId};
 use qram_serve::{ConsistentHashPlacement, FleetConfig, FleetRequest, FleetWrite, QramFleet};
-use qsim::branch::{AddressState, ClassicalMemory};
+use qsim::branch::AddressState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,18 +38,9 @@ const HOT_QUOTA: u32 = 8;
 const HOT: TenantId = TenantId(0);
 const BACKGROUND: TenantId = TenantId(1);
 
-fn capacity() -> Capacity {
-    Capacity::new(N).expect("4096 is a power of two")
-}
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
-
 /// Admission interval of one K-shard replica under the paper timing model.
 fn replica_interval() -> f64 {
-    ShardedQram::fat_tree(capacity(), SHARDS)
+    ShardedQram::fat_tree(capacity(N), SHARDS)
         .admission_interval(&TimingModel::paper_default())
         .get()
 }
@@ -98,7 +89,7 @@ fn fleet(
         policy = policy.with_quota(HOT, cap);
     }
     QramFleet::new(
-        ShardedQram::fat_tree(capacity(), SHARDS),
+        ShardedQram::fat_tree(capacity(N), SHARDS),
         replicas,
         TimingModel::paper_default(),
         policy,
@@ -112,7 +103,7 @@ fn fleet(
 
 fn print_fleet_rows(_c: &mut Criterion) {
     let timing = TimingModel::paper_default();
-    let mem = memory();
+    let mem = memory(N);
     let requests = workload();
     let offered_span = requests
         .iter()
@@ -177,7 +168,7 @@ fn print_fleet_rows(_c: &mut Criterion) {
 
 fn bench_fleet_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet");
-    let mem = memory();
+    let mem = memory(N);
     let requests = workload();
     for replicas in REPLICA_COUNTS {
         let mut fleet = fleet(replicas, Some(HOT_QUOTA));

@@ -18,15 +18,15 @@
 //! the identical workload, pricing the failover machinery itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{capacity, memory, record_scalar};
 use qram_core::{QramModel, ShardedQram};
-use qram_metrics::{Capacity, Layers, TimingModel};
+use qram_metrics::{Layers, TimingModel};
 use qram_sched::{poisson_arrivals, FifoAdmission, TenantId};
 use qram_serve::{
     ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig, FleetReport, FleetRequest,
     FleetWrite, QramFleet,
 };
-use qsim::branch::{AddressState, ClassicalMemory};
+use qsim::branch::AddressState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,18 +51,9 @@ const RECOVER_AT_INTERVALS: f64 = 400.0;
 const SETTLE_INTERVALS: f64 = 160.0;
 const VICTIM: usize = 1;
 
-fn capacity() -> Capacity {
-    Capacity::new(N).expect("4096 is a power of two")
-}
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
-
 /// Admission interval of one K-shard replica under the paper timing model.
 fn replica_interval() -> f64 {
-    ShardedQram::fat_tree(capacity(), SHARDS)
+    ShardedQram::fat_tree(capacity(N), SHARDS)
         .admission_interval(&TimingModel::paper_default())
         .get()
 }
@@ -89,7 +80,7 @@ fn workload() -> Vec<FleetRequest> {
 
 fn fleet() -> QramFleet<qram_core::FatTreeQram> {
     QramFleet::new(
-        ShardedQram::fat_tree(capacity(), SHARDS),
+        ShardedQram::fat_tree(capacity(N), SHARDS),
         REPLICAS,
         TimingModel::paper_default(),
         FifoAdmission,
@@ -144,7 +135,7 @@ fn print_fault_rows(_c: &mut Criterion) {
     let crash_at = Layers::new(CRASH_AT_INTERVALS * interval);
     let recover_at = Layers::new(RECOVER_AT_INTERVALS * interval);
     let settled_at = Layers::new((RECOVER_AT_INTERVALS + SETTLE_INTERVALS) * interval);
-    let mem = memory();
+    let mem = memory(N);
     let requests = workload();
     let plan = crash_plan();
 
@@ -246,7 +237,7 @@ fn print_fault_rows(_c: &mut Criterion) {
 
 fn bench_fault_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_faults");
-    let mem = memory();
+    let mem = memory(N);
     let requests = workload();
     let plan = crash_plan();
     let config = FaultConfig::default();

@@ -12,21 +12,15 @@
 //! platter physics.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{memory, record_scalar};
 use qram_core::store::{CheckpointPolicy, DurableFleet, SimDir, WAL_FILE};
 use qram_core::ReplicatedWrite;
-use qsim::branch::ClassicalMemory;
 
 const N: u64 = 4096;
 /// WAL lengths (epochs appended) swept by the benchmark.
 const WAL_LENGTHS: [u64; 3] = [64, 512, 4096];
 /// Checkpoint cadence of the "with checkpoints" arm.
 const CHECKPOINT_EVERY: u64 = 256;
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
 
 fn write(epoch: u64) -> ReplicatedWrite {
     ReplicatedWrite {
@@ -41,7 +35,7 @@ fn write(epoch: u64) -> ReplicatedWrite {
 /// `policy`, then simulates the crash: the directory is all that
 /// survives.
 fn crash_image(epochs: u64, policy: CheckpointPolicy) -> SimDir {
-    let mut store = DurableFleet::create_with(Box::new(SimDir::new()), &memory(), policy)
+    let mut store = DurableFleet::create_with(Box::new(SimDir::new()), &memory(N), policy)
         .expect("create store");
     for e in 1..=epochs {
         store.append(&write(e)).expect("append");

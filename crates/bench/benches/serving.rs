@@ -1,6 +1,6 @@
 //! The §5 quantum-data-center service as a benchmark: online serving of
-//! open-loop query traffic on a sharded Fat-Tree at `N = 4096`,
-//! `K ∈ {1, 2, 4, 8}`.
+//! open-loop query traffic on one sharded Fat-Tree machine (an `R = 1`
+//! fleet) at `N = 4096`, `K ∈ {1, 2, 4, 8}`.
 //!
 //! For each shard count the reproduction artifact is a §5-style row —
 //! offered load, sustained throughput, and p50/p95/p99 response latency
@@ -13,12 +13,12 @@
 //! recorded into the `CRITERION_JSON` baseline as a scalar.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use qram_bench::record_scalar;
+use qram_bench::{capacity, memory, record_scalar};
 use qram_core::{QramModel, ShardedQram};
-use qram_metrics::{Capacity, TimingModel};
-use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, ZipfAddresses};
-use qram_serve::{QramService, ServiceRequest};
-use qsim::branch::{AddressState, ClassicalMemory};
+use qram_metrics::TimingModel;
+use qram_sched::{bursty_arrivals, poisson_arrivals, QueryRequest, TenantId, ZipfAddresses};
+use qram_serve::{FleetRequest, QramFleet};
+use qsim::branch::AddressState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,24 +30,16 @@ const SEED: u64 = 20260727;
 /// Offered load as a fraction of the aggregate admission capacity `K / I`.
 const LOAD: f64 = 0.85;
 
-fn capacity() -> Capacity {
-    Capacity::new(N).expect("4096 is a power of two")
-}
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
-
 /// Attaches Zipf(0.99)-drawn addresses to an arrival sequence.
-fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<ServiceRequest> {
-    let zipf = ZipfAddresses::new(capacity(), 0.99);
+fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<FleetRequest> {
+    let zipf = ZipfAddresses::new(capacity(N), 0.99);
     let addresses = zipf.addresses(arrivals.len(), SEED);
     arrivals
         .into_iter()
         .zip(addresses)
-        .map(|(r, a)| ServiceRequest {
+        .map(|(r, a)| FleetRequest {
             id: r.id,
+            tenant: TenantId::DEFAULT,
             arrival: r.arrival,
             address: AddressState::classical(ADDRESS_WIDTH, a).expect("address in range"),
         })
@@ -55,8 +47,8 @@ fn with_zipf_addresses(arrivals: Vec<QueryRequest>) -> Vec<ServiceRequest> {
 }
 
 /// The Poisson workload at `LOAD ×` the aggregate capacity of `K` shards.
-fn poisson_workload(k: u32) -> Vec<ServiceRequest> {
-    let interval = ShardedQram::fat_tree(capacity(), k)
+fn poisson_workload(k: u32) -> Vec<FleetRequest> {
+    let interval = ShardedQram::fat_tree(capacity(N), k)
         .admission_interval(&TimingModel::paper_default())
         .get();
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -65,8 +57,8 @@ fn poisson_workload(k: u32) -> Vec<ServiceRequest> {
 
 /// The bursty workload: same long-run load as the Poisson stream, but
 /// delivered in ON bursts at 3× the aggregate capacity.
-fn bursty_workload(k: u32) -> Vec<ServiceRequest> {
-    let interval = ShardedQram::fat_tree(capacity(), k)
+fn bursty_workload(k: u32) -> Vec<FleetRequest> {
+    let interval = ShardedQram::fat_tree(capacity(N), k)
         .admission_interval(&TimingModel::paper_default())
         .get();
     let capacity_rate = 1.0 / interval;
@@ -82,7 +74,7 @@ fn bursty_workload(k: u32) -> Vec<ServiceRequest> {
 
 fn print_section5_rows(_c: &mut Criterion) {
     let timing = TimingModel::paper_default();
-    let mem = memory();
+    let mem = memory(N);
     println!(
         "== Online QRAM service, N = {N}, {REQUESTS} requests, Zipf(0.99) addresses \
          (§5-style rows; latency = arrival→completion) =="
@@ -109,8 +101,10 @@ fn print_section5_rows(_c: &mut Criterion) {
                 .fold(0.0f64, f64::max);
             let offered = requests.len() as f64
                 / timing.layers_to_seconds(qram_metrics::Layers::new(offered_span));
-            let mut service = QramService::fifo(ShardedQram::fat_tree(capacity(), k), timing);
-            let report = service.serve(&mem, requests).expect("service run");
+            let mut machine = QramFleet::fifo(ShardedQram::fat_tree(capacity(N), k), 1, timing);
+            let report = machine
+                .serve(&mem, requests, Vec::new())
+                .expect("service run");
             let hist = report.latency_histogram();
             println!(
                 "{:>3} {:>8} {:>11.0} {:>11.0} {:>10.2} {:>10.2} {:>10.2} {:>11.1}",
@@ -121,7 +115,7 @@ fn print_section5_rows(_c: &mut Criterion) {
                 hist.quantile(0.50).get(),
                 hist.quantile(0.95).get(),
                 hist.quantile(0.99).get(),
-                report.latency_micros(0.99),
+                report.tenant_latency_micros(TenantId::DEFAULT, 0.99),
             );
             if k == 8 && label == "poisson" {
                 record_scalar(
@@ -136,15 +130,15 @@ fn print_section5_rows(_c: &mut Criterion) {
 fn bench_serving_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving");
     let timing = TimingModel::paper_default();
-    let mem = memory();
+    let mem = memory(N);
     for k in SHARD_COUNTS {
         let requests = poisson_workload(k);
-        let qram = ShardedQram::fat_tree(capacity(), k);
-        let mut service = QramService::fifo(qram, timing);
+        let qram = ShardedQram::fat_tree(capacity(N), k);
+        let mut machine = QramFleet::fifo(qram, 1, timing);
         group.bench_function(format!("k{k}_n4096_poisson_zipf_{REQUESTS}q"), |b| {
             b.iter_batched(
                 || requests.clone(),
-                |reqs| service.serve(&mem, reqs).expect("service run"),
+                |reqs| machine.serve(&mem, reqs, Vec::new()).expect("service run"),
                 BatchSize::SmallInput,
             )
         });

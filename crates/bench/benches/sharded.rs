@@ -8,21 +8,13 @@
 //! executable backend rather than a cost model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qram_bench::{capacity, memory};
 use qram_core::{FatTreeQram, QramModel, ShardedQram};
-use qram_metrics::{Capacity, TimingModel};
-use qsim::branch::{AddressState, ClassicalMemory};
+use qram_metrics::TimingModel;
+use qsim::branch::AddressState;
 
 const N: u64 = 4096;
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-fn capacity() -> Capacity {
-    Capacity::new(N).expect("4096 is a power of two")
-}
-
-fn memory() -> ClassicalMemory {
-    let cells: Vec<u64> = (0..N).map(|i| (i * 7 + 3) % 2).collect();
-    ClassicalMemory::from_words(1, &cells).expect("valid memory")
-}
 
 /// A batch of 64 four-branch superposed queries spread over the address
 /// space. The odd branch stride (17) makes each query's branches cover
@@ -30,7 +22,7 @@ fn memory() -> ClassicalMemory {
 /// distinct shards at `K ∈ {4, 8}` — so every benchmarked shard count
 /// exercises the cross-shard split-and-recombine path.
 fn batch() -> Vec<AddressState> {
-    let n = capacity().address_width();
+    let n = capacity(N).address_width();
     (0..64u64)
         .map(|q| {
             let base = (q * 61) % N;
@@ -44,14 +36,14 @@ fn batch() -> Vec<AddressState> {
 
 fn print_table1_row() {
     let timing = TimingModel::paper_default();
-    let mono = FatTreeQram::new(capacity());
+    let mono = FatTreeQram::new(capacity(N));
     println!("== Sharded Fat-Tree, N = {N} (Table-1-style row per shard count) ==");
     println!(
         "{:>3} {:>9} {:>12} {:>10} {:>18} {:>14}",
         "K", "routers", "parallelism", "interval", "single-query lat", "throughput x"
     );
     for k in SHARD_COUNTS {
-        let sharded = ShardedQram::fat_tree(capacity(), k);
+        let sharded = ShardedQram::fat_tree(capacity(N), k);
         let interval = sharded.admission_interval(&timing);
         let speedup = mono.admission_interval(&timing) / interval;
         println!(
@@ -68,10 +60,10 @@ fn print_table1_row() {
 
 fn bench_sharded_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_execution");
-    let mem = memory();
+    let mem = memory(N);
     let addresses = batch();
     for k in SHARD_COUNTS {
-        let qram = ShardedQram::fat_tree(capacity(), k);
+        let qram = ShardedQram::fat_tree(capacity(N), k);
         group.bench_function(format!("k{k}_n4096_64queries"), |b| {
             b.iter(|| {
                 qram.execute_queries(&mem, &addresses, &[])

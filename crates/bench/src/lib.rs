@@ -7,6 +7,27 @@
 
 use std::io::Write as _;
 
+use qram_metrics::Capacity;
+use qsim::branch::ClassicalMemory;
+
+/// The capacity `N` of a bench workload.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two.
+#[must_use]
+pub fn capacity(n: u64) -> Capacity {
+    Capacity::new(n).expect("bench capacities are powers of two")
+}
+
+/// The one-bit bench memory of `n` cells: `1, 0, 1, 0, …`, so every
+/// query's data depends on its address parity.
+#[must_use]
+pub fn memory(n: u64) -> ClassicalMemory {
+    let cells: Vec<u64> = (0..n).map(|i| (i + 1) % 2).collect();
+    ClassicalMemory::from_words(1, &cells).expect("one-bit words are valid")
+}
+
 /// Prints a section header for a table/figure reproduction.
 pub fn header(title: &str) {
     println!();
@@ -56,6 +77,12 @@ pub fn row(label: &str, cells: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_memory_alternates_from_one() {
+        assert_eq!(memory(4).cells(), &[1, 0, 1, 0]);
+        assert_eq!(capacity(4096).address_width(), 12);
+    }
 
     #[test]
     fn number_formatting() {

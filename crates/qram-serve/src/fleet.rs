@@ -44,9 +44,11 @@
 //!   memory version are reported with [`FleetQuery::stale`] set — the
 //!   consistency contract is *detectability*, not freshness.
 //!
-//! With `R = 1`, no writes, and the default tenant, the fleet reduces
-//! exactly to [`QramService`] — same timings, same outcomes, same
-//! shedding (property-tested in `tests/fleet.rs`).
+//! With `R = 1`, no writes, and the default tenant, the fleet *is* the
+//! §5 single-machine service: its timings equal the analytic
+//! [`OnlineFifoScheduler`] on [`QramFleet::equivalent_server`] over the
+//! accepted requests, and its outcomes equal the ideal query semantics
+//! (property-tested in `tests/fleet.rs` and `tests/serving.rs`).
 //!
 //! **Fault tolerance.** [`QramFleet::serve_with_faults`] runs the same
 //! loop under a deterministic [`FaultPlan`]: a per-replica health state
@@ -64,7 +66,7 @@
 //! `tests/fleet_faults.rs` against [`QramFleet::serve_reference`]).
 //!
 //! [`SloClass`]: qram_sched::SloClass
-//! [`QramService`]: crate::QramService
+//! [`OnlineFifoScheduler`]: qram_sched::OnlineFifoScheduler
 //! [`RetryPolicy`]: qram_sched::RetryPolicy
 
 use std::collections::BTreeMap;
@@ -298,8 +300,7 @@ impl FleetQuery {
 }
 
 /// Reactor events of the fleet, in virtual layer time. Arrivals live in a
-/// sorted list merged against the heap (arrival-first at ties), exactly
-/// as in the single-replica service.
+/// sorted list merged against the heap (arrival-first at ties).
 #[derive(Debug)]
 enum Event {
     /// A write commits at its origin replica.
@@ -496,10 +497,9 @@ impl FleetReport {
         QueryRate::new(self.completed.len() as f64 / self.timing.layers_to_seconds(self.window()))
     }
 
-    /// The realized timings as a `qram-sched` [`Schedule`], for the
-    /// `R = 1` equivalence pin against [`QramService`].
-    ///
-    /// [`QramService`]: crate::QramService
+    /// The realized timings as a `qram-sched` [`Schedule`], for comparison
+    /// against the analytic schedulers (at `R = 1` it equals
+    /// `OnlineFifoScheduler` on the accepted requests).
     #[must_use]
     pub fn schedule(&self) -> Schedule {
         Schedule::from_entries(
@@ -1017,6 +1017,9 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
             Err(DurableServeError::Store(e)) => {
                 unreachable!("the ephemeral in-memory store cannot fail: {e}")
             }
+            Err(DurableServeError::BaseMismatch) => {
+                unreachable!("the ephemeral store is created from the run's memory")
+            }
         }
     }
 
@@ -1035,7 +1038,9 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableServeError::Exec`] if query execution fails and
+    /// Returns [`DurableServeError::BaseMismatch`], before anything is
+    /// appended, if the store's durable chain does not end at `memory`;
+    /// [`DurableServeError::Exec`] if query execution fails; and
     /// [`DurableServeError::Store`] if the store's directory fails.
     ///
     /// # Panics
@@ -1050,6 +1055,9 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         fault_config: &FaultConfig,
         store: &mut DurableFleet,
     ) -> Result<FleetReport, DurableServeError> {
+        if store.shadow().cells() != memory.cells() {
+            return Err(DurableServeError::BaseMismatch);
+        }
         self.serve_faulty(memory, requests, writes, plan, fault_config, Some(store))
     }
 
@@ -1168,11 +1176,6 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         let mut ephemeral: Option<DurableFleet> = None;
         let mut durability: Option<Durability<'_>> = match store {
             Some(s) => {
-                debug_assert_eq!(
-                    s.shadow().cells(),
-                    memory.cells(),
-                    "the durable chain must end at the run's starting memory"
-                );
                 s.set_group_commit(fault_config.group_commit);
                 Some(Durability::new(s))
             }
@@ -1992,6 +1995,9 @@ pub enum DurableServeError {
     Exec(ExecError),
     /// The durable store's directory failed.
     Store(StoreError),
+    /// The store's durable chain does not end at the run's starting
+    /// memory, so this run's epochs would persist on the wrong base.
+    BaseMismatch,
 }
 
 impl fmt::Display for DurableServeError {
@@ -1999,6 +2005,9 @@ impl fmt::Display for DurableServeError {
         match self {
             DurableServeError::Exec(e) => write!(f, "query execution failed: {e}"),
             DurableServeError::Store(e) => write!(f, "durable store failed: {e}"),
+            DurableServeError::BaseMismatch => {
+                write!(f, "the durable chain does not end at the starting memory")
+            }
         }
     }
 }
@@ -2008,6 +2017,7 @@ impl std::error::Error for DurableServeError {
         match self {
             DurableServeError::Exec(e) => Some(e),
             DurableServeError::Store(e) => Some(e),
+            DurableServeError::BaseMismatch => None,
         }
     }
 }
@@ -2359,6 +2369,7 @@ fn lose_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qram_core::FatTreeQram;
     use qram_metrics::Capacity;
     use qram_sched::QuotaAdmission;
 
@@ -2645,5 +2656,169 @@ mod tests {
             load(0, 0, ReplicaHealth::Down),
         ];
         assert_eq!(ConsistentHashPlacement.place(&probe(), &dead), 0);
+    }
+
+    /// The §5 single machine: a one-replica FIFO fleet with unbounded
+    /// queues.
+    fn single_machine(n: u64, shards: u32) -> QramFleet<FatTreeQram> {
+        QramFleet::fifo(
+            ShardedQram::fat_tree(cap(n), shards),
+            1,
+            TimingModel::paper_default(),
+        )
+    }
+
+    #[test]
+    fn round_robin_assignment_fills_queues_evenly() {
+        let mut fleet = single_machine(256, 4);
+        let requests = classical_requests(&[0.0; 22], 8, 256);
+        let report = fleet
+            .serve(&checkerboard(256), requests, Vec::new())
+            .unwrap();
+        let mut per_shard = [0u64; 4];
+        for (i, c) in report.completed().iter().enumerate() {
+            assert_eq!(c.id, i, "strict FIFO dispatch order");
+            assert_eq!(c.shard, i % 4, "round-robin queue assignment");
+            per_shard[c.shard] += 1;
+        }
+        assert_eq!(per_shard, [6, 6, 5, 5]);
+    }
+
+    #[test]
+    fn saturated_dispatches_space_at_divided_interval() {
+        let mut fleet = single_machine(4096, 4);
+        let requests = classical_requests(&[0.0; 16], 12, 4096);
+        let report = fleet
+            .serve(&checkerboard(4096), requests, Vec::new())
+            .unwrap();
+        let starts: Vec<f64> = report.completed().iter().map(|c| c.start.get()).collect();
+        assert_eq!(starts.len(), 16);
+        for w in starts.windows(2) {
+            assert!((w[1] - w[0] - 8.25 / 4.0).abs() < 1e-9, "{starts:?}");
+        }
+    }
+
+    #[test]
+    fn outcomes_match_ideal_semantics() {
+        let mut fleet = single_machine(64, 4);
+        let memory = checkerboard(64);
+        let requests: Vec<FleetRequest> = (0..8)
+            .map(|id| FleetRequest {
+                id,
+                tenant: TenantId::DEFAULT,
+                arrival: Layers::new(id as f64),
+                address: AddressState::uniform(6, &[id as u64, id as u64 + 17, id as u64 + 40])
+                    .unwrap(),
+            })
+            .collect();
+        let report = fleet.serve(&memory, requests.clone(), Vec::new()).unwrap();
+        assert_eq!(report.completed().len(), 8);
+        for (c, out) in report.completed().iter().zip(report.outcomes()) {
+            let ideal = memory.ideal_query(&requests[c.id].address);
+            assert!((out.fidelity(&ideal) - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn bounded_queue_sheds_excess_load() {
+        let mut fleet = QramFleet::new(
+            ShardedQram::fat_tree(cap(64), 2),
+            1,
+            TimingModel::paper_default(),
+            FifoAdmission,
+            ConsistentHashPlacement,
+            FleetConfig {
+                queue_capacity: Some(4),
+                replication_lag: Layers::ZERO,
+            },
+        );
+        // A burst far beyond queue + pipeline capacity at t = 0: the first
+        // request dispatches immediately, four more fit in the queue, and
+        // the rest are shed (the queue only drains at the admission
+        // interval, long after the instantaneous burst has passed).
+        let requests = classical_requests(&[0.0; 40], 6, 64);
+        let report = fleet
+            .serve(&checkerboard(64), requests, Vec::new())
+            .unwrap();
+        assert_eq!(report.completed().len(), 5);
+        assert_eq!(report.shed().len(), 35);
+        assert_eq!(report.shed_count(ShedReason::QueueFull), 35);
+        assert_eq!(report.shed()[0].id, 5);
+        let ids: Vec<usize> = report.completed().iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unsorted_submissions_are_ordered_by_arrival() {
+        let mut fleet = single_machine(64, 2);
+        let mut requests = classical_requests(&[30.0, 0.0, 60.0, 15.0], 6, 64);
+        requests.swap(0, 2);
+        let report = fleet
+            .serve(&checkerboard(64), requests, Vec::new())
+            .unwrap();
+        let ids: Vec<usize> = report.completed().iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn report_throughput_and_latency_metrics() {
+        let timing = TimingModel::paper_default();
+        let mut fleet = single_machine(64, 2);
+        let requests = classical_requests(&[0.0; 10], 6, 64);
+        let report = fleet
+            .serve(&checkerboard(64), requests, Vec::new())
+            .unwrap();
+        assert_eq!(report.latency_histogram().count(), 10);
+        assert!(report.window() > Layers::ZERO);
+        assert!(report.query_rate().get() > 0.0);
+        let micros = |q| report.tenant_latency_micros(TenantId::DEFAULT, q);
+        assert!(micros(0.5) <= micros(0.99));
+        let mono_latency = FatTreeQram::new(cap(64))
+            .single_query_latency(&timing)
+            .get();
+        // The fastest query finishes in exactly one monolithic latency.
+        assert!((report.latency_histogram().min().get() - mono_latency).abs() < 1e-9);
+    }
+
+    #[test]
+    fn throughput_window_excludes_idle_prefix() {
+        // A trace starting deep into virtual time reports the same
+        // sustained rate as the identical trace shifted to t = 0.
+        let run = |offset: f64| {
+            let mut fleet = single_machine(64, 2);
+            let arrivals: Vec<f64> = (0..10).map(|i| offset + 3.0 * i as f64).collect();
+            let requests = classical_requests(&arrivals, 6, 64);
+            fleet
+                .serve(&checkerboard(64), requests, Vec::new())
+                .unwrap()
+        };
+        let at_zero = run(0.0);
+        let delayed = run(10_000.0);
+        assert!((delayed.window() - at_zero.window()).get().abs() < 1e-9);
+        assert!((delayed.query_rate().get() - at_zero.query_rate().get()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn empty_run_reports_zero_rates_without_panicking() {
+        let mut fleet = single_machine(64, 2);
+        let report = fleet
+            .serve(&checkerboard(64), Vec::new(), Vec::new())
+            .unwrap();
+        assert_eq!(report.window(), Layers::ZERO);
+        assert_eq!(report.query_rate(), QueryRate::ZERO);
+        assert_eq!(report.latency_histogram().p99(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "address width")]
+    fn mismatched_address_width_rejected() {
+        let mut fleet = single_machine(64, 2);
+        let bad = vec![FleetRequest {
+            id: 0,
+            tenant: TenantId::DEFAULT,
+            arrival: Layers::ZERO,
+            address: AddressState::classical(3, 1).unwrap(),
+        }];
+        let _ = fleet.serve(&checkerboard(64), bad, Vec::new());
     }
 }

@@ -31,21 +31,17 @@
 //!
 //! * [`EventQueue`] — the hand-rolled discrete-event reactor core: a
 //!   time-ordered queue over virtual circuit-layer time.
-//! * [`QramService`] — the serving loop: per-shard round-robin dispatch
-//!   queues over a `ShardedQram`, admission at the divided `I_shard / K`
-//!   interval, backpressure at the aggregate `K · P_shard` in-flight
-//!   bound (plus an optional bounded arrival queue that sheds load), and
-//!   per-query latency recorded into a log-bucketed histogram.
-//! * [`ServiceReport`] — completions, outcomes, rejections, fairness
-//!   counters, and latency/throughput metrics for one run.
-//! * [`Replica`] — the replica-generic dispatch core extracted from the
-//!   serving loop: shard queues, capacity accounting, and the pump rule,
-//!   reactor-agnostic so one core drives both the single service and the
-//!   fleet.
-//! * [`QramFleet`] — the multi-tenant routing tier: R replicas behind a
-//!   pluggable [`PlacementPolicy`], per-tenant quotas and SLO classes at
-//!   admission, epoch-replicated memory writes with flagged stale reads,
-//!   and per-tenant/per-replica rollups in a [`FleetReport`].
+//! * [`Replica`] — the dispatch core of one machine: per-shard
+//!   round-robin dispatch queues over a `ShardedQram`, admission at the
+//!   divided `I_shard / K` interval, backpressure at the aggregate
+//!   `K · P_shard` in-flight bound (plus an optional bounded arrival
+//!   queue that sheds load), and per-query latency recorded into a
+//!   log-bucketed histogram.
+//! * [`QramFleet`] — the serving loop: R replicas behind a pluggable
+//!   [`PlacementPolicy`], per-tenant quotas and SLO classes at admission,
+//!   epoch-replicated memory writes with flagged stale reads, and
+//!   per-tenant/per-replica rollups in a [`FleetReport`]. A single
+//!   machine is the `R = 1` fleet.
 //! * [`FaultPlan`] — deterministic fault injection for the fleet: crashes
 //!   and recoveries, slow replicas, stalled shard queues, dropped or
 //!   delayed replication catch-ups, and corrupted outcomes, driven
@@ -69,7 +65,6 @@ pub mod fault;
 pub mod fleet;
 pub mod reactor;
 pub mod replica;
-pub mod service;
 
 pub use fault::{
     corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutConfig, BrownoutController, Fault,
@@ -82,4 +77,3 @@ pub use fleet::{
 };
 pub use reactor::EventQueue;
 pub use replica::{CompletedQuery, Replica, ReplicaEvent};
-pub use service::{QramService, ServiceConfig, ServiceReport, ServiceRequest};

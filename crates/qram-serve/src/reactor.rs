@@ -8,7 +8,7 @@
 //!
 //! [`EventQueue`] pops events in non-decreasing time order; events pushed
 //! at the same instant pop in push order (FIFO tie-break), which is what
-//! makes the reactor's schedules deterministic and lets the service pin
+//! makes the reactor's schedules deterministic and lets the fleet pin
 //! its timings bit-for-bit against the analytic schedulers in
 //! `qram-sched`.
 

@@ -1,20 +1,17 @@
 //! The replica-generic serving core: one dispatcher over one sharded
 //! backend.
 //!
-//! [`Replica`] is the pure scheduling state the event loop of
-//! [`QramService`] used to carry inline — per-shard round-robin dispatch
-//! queues, pipeline-slot accounting, divided-interval admission spacing,
-//! and a per-replica response-latency histogram — extracted so the same
-//! core can be driven once by [`QramService`] or `R` times by
-//! [`QramFleet`] behind a routing tier. The reactor stays outside: a
+//! [`Replica`] is the pure scheduling state of one machine — per-shard
+//! round-robin dispatch queues, pipeline-slot accounting, and
+//! divided-interval admission spacing. One driver runs it: [`QramFleet`] drives `R` of them behind a routing tier
+//! (a single machine is the `R = 1` fleet). The reactor stays outside: a
 //! replica never owns an event queue, it *emits* [`ReplicaEvent`]s through
-//! a caller-supplied hook and the caller decides how to tag and enqueue
-//! them (the service maps them 1:1; the fleet wraps them with the replica
-//! index).
+//! a caller-supplied hook and the fleet wraps them with the replica index
+//! before enqueueing them.
 //!
-//! The dispatch rules are bit-identical to the pre-extraction service
-//! loop (and hence to the analytic `OnlineFifoScheduler` recurrence —
-//! property-tested in `tests/serving.rs` and `tests/fleet.rs`):
+//! The dispatch rules realize the analytic `OnlineFifoScheduler`
+//! recurrence exactly (property-tested in `tests/serving.rs` and
+//! `tests/fleet.rs`):
 //!
 //! * the `j`-th accepted request queues at shard `j mod K`;
 //! * admissions are spaced by the divided interval `I_shard / K`;
@@ -24,12 +21,11 @@
 //!   (`earliest = max(earliest, now)` — the `finishes[k − p]` term of the
 //!   recurrence).
 //!
-//! [`QramService`]: crate::QramService
 //! [`QramFleet`]: crate::QramFleet
 
 use std::collections::VecDeque;
 
-use qram_metrics::{LatencyHistogram, Layers};
+use qram_metrics::Layers;
 use qram_sched::{AdmissionPolicy, QueryRequest, TenantId};
 use qsim::branch::AddressState;
 
@@ -63,7 +59,7 @@ struct Pending {
     id: usize,
     /// Driver-private handle reported back through [`ReplicaEvent::Expired`]
     /// and [`Replica::fail`] — unlike `id` it must be unique per offer
-    /// (the fleet uses its query-state index; the service reuses `id`).
+    /// (the fleet uses its query-state index).
     tag: usize,
     /// Accepted-order sequence number: drives round-robin shard selection
     /// even when expiries consume a slot without dispatching.
@@ -98,8 +94,8 @@ pub enum ReplicaEvent {
 }
 
 /// The serving core of one QRAM replica: round-robin shard queues, a
-/// divided-interval dispatcher, in-flight accounting, and a per-replica
-/// latency histogram. Driven from outside by [`Replica::offer`] /
+/// divided-interval dispatcher, and in-flight accounting. Driven from
+/// outside by [`Replica::offer`] /
 /// [`Replica::complete`] / [`Replica::ack_poll`] / [`Replica::pump`].
 #[derive(Debug)]
 pub struct Replica {
@@ -122,12 +118,10 @@ pub struct Replica {
     dispatched: Vec<(Pending, Layers, usize)>,
     /// Dispatch-ordered addresses, aligned with `dispatched`.
     addresses: Vec<AddressState>,
-    per_shard_dispatches: Vec<u64>,
     inflight: u32,
     shard_inflight: Vec<u32>,
     last_dispatch: Option<Layers>,
     poll_at: Option<f64>,
-    histogram: LatencyHistogram,
 }
 
 impl Replica {
@@ -163,12 +157,10 @@ impl Replica {
             stalled: vec![false; shards],
             dispatched: Vec::new(),
             addresses: Vec::new(),
-            per_shard_dispatches: vec![0; shards],
             inflight: 0,
             shard_inflight: vec![0; shards],
             last_dispatch: None,
             poll_at: None,
-            histogram: LatencyHistogram::new(),
         }
     }
 
@@ -209,13 +201,6 @@ impl Replica {
     #[must_use]
     pub fn dispatch_count(&self) -> usize {
         self.dispatched.len()
-    }
-
-    /// Queries dispatched per shard queue — round-robin fairness means
-    /// these never differ by more than one.
-    #[must_use]
-    pub fn per_shard_dispatches(&self) -> &[u64] {
-        &self.per_shard_dispatches
     }
 
     /// The tenant of the `index`-th dispatched query.
@@ -262,12 +247,6 @@ impl Replica {
         drained.into_iter().map(|(_, tag)| tag).collect()
     }
 
-    /// This replica's response-latency histogram (arrival → completion).
-    #[must_use]
-    pub fn histogram(&self) -> &LatencyHistogram {
-        &self.histogram
-    }
-
     /// Offers an arrival to the replica: queues it at shard
     /// `accepted mod K` and returns `true`, or returns `false` when the
     /// bounded arrival queue is full (the request is shed — the replica
@@ -304,21 +283,18 @@ impl Replica {
     }
 
     /// Retires the `index`-th dispatched query at instant `now`: frees its
-    /// pipeline slots, records its response latency, and returns the
-    /// completion record.
+    /// pipeline slots and returns the completion record.
     pub fn complete(&mut self, index: usize, now: Layers) -> CompletedQuery {
         let (pending, start, shard) = &self.dispatched[index];
         self.inflight -= 1;
         self.shard_inflight[*shard] -= 1;
-        let record = CompletedQuery {
+        CompletedQuery {
             id: pending.id,
             arrival: pending.arrival,
             start: *start,
             finish: now,
             shard: *shard,
-        };
-        self.histogram.record(record.response_latency());
-        record
+        }
     }
 
     /// Acknowledges a [`ReplicaEvent::Poll`] firing at instant `now`,
@@ -416,7 +392,6 @@ impl Replica {
             self.last_dispatch = Some(start);
             self.inflight += 1;
             self.shard_inflight[shard] += 1;
-            self.per_shard_dispatches[shard] += 1;
             schedule(
                 start + self.latency,
                 ReplicaEvent::Completion { index: next_index },
@@ -526,7 +501,6 @@ mod tests {
         assert_eq!(rec.response_latency(), Layers::new(10.0));
         assert_eq!(r.tenant_of(0), TenantId(3));
         assert_eq!(r.in_flight(), 0);
-        assert_eq!(r.histogram().count(), 1);
     }
 
     #[test]

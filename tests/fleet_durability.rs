@@ -19,8 +19,8 @@ use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{FifoAdmission, TenantId};
 use fat_tree_qram::serve::{
-    AdaptiveGroupCommit, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
-    FleetRequest, FleetWrite, QramFleet,
+    AdaptiveGroupCommit, ConsistentHashPlacement, DurableServeError, Fault, FaultConfig, FaultPlan,
+    FleetConfig, FleetRequest, FleetWrite, QramFleet,
 };
 
 fn checkerboard(n: u64) -> ClassicalMemory {
@@ -574,4 +574,39 @@ fn serve_durable_persists_the_write_stream_across_runs() {
     expect.write(9, 0);
     expect.write(12, 1);
     assert_eq!(recovered.memory.cells(), expect.cells());
+}
+
+#[test]
+fn a_store_whose_chain_ends_elsewhere_is_refused_before_any_append() {
+    // The store's chain ends at the checkerboard, but the caller hands
+    // the run a different starting image. Serving would persist this
+    // run's epochs on the wrong base, so the call is refused up front —
+    // in release builds too — and the store is left untouched.
+    let memory = checkerboard(64);
+    let mut store =
+        DurableFleet::create_with(Box::new(SimDir::new()), &memory, CheckpointPolicy::every(1))
+            .unwrap();
+    let mut other = memory.clone();
+    other.write(PROBE_CELL, 1);
+
+    let mut fleet = fifo_fleet(2, 2);
+    let result = fleet.serve_durable(
+        &other,
+        vec![request(0, 5.0, 1)],
+        vec![FleetWrite {
+            at: Layers::new(10.0),
+            origin: 0,
+            address: 3,
+            value: 1,
+        }],
+        &FaultPlan::none(),
+        &FaultConfig::default(),
+        &mut store,
+    );
+    assert!(
+        matches!(result, Err(DurableServeError::BaseMismatch)),
+        "{result:?}"
+    );
+    assert_eq!(store.durable_epoch(), 0, "nothing was appended");
+    assert_eq!(store.shadow().cells(), memory.cells());
 }

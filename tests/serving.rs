@@ -1,17 +1,52 @@
 //! Serving-layer integration properties: the policy-stack refactor must be
 //! bit-equal to the pre-refactor schedulers, and the event-driven reactor
-//! must realize exactly the analytic schedules.
+//! — the §5 single machine, served as a one-replica fleet — must realize
+//! exactly the analytic schedules.
 
-use fat_tree_qram::core::ShardedQram;
+use std::collections::HashSet;
+
+use fat_tree_qram::core::{FatTreeQram, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::noise::GateErrorRates;
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{
-    schedule_fifo, NoiseAwareAdmission, OnlineFifoScheduler, PolicyScheduler, QramServer,
-    QueryRequest, Schedule, ScheduledQuery, Scheduler,
+    schedule_fifo, AdmissionPolicy, FifoAdmission, NoiseAwareAdmission, OnlineFifoScheduler,
+    PolicyScheduler, QramServer, QueryRequest, Schedule, ScheduledQuery, Scheduler, TenantId,
 };
-use fat_tree_qram::serve::{QramService, ServiceRequest};
+use fat_tree_qram::serve::{
+    ConsistentHashPlacement, FleetConfig, FleetRequest, QramFleet, ShedReason,
+};
 use proptest::prelude::*;
+
+/// The §5 single machine: a one-replica fleet under `policy`, with an
+/// optional bound on its dispatch queues.
+fn single_machine<P: AdmissionPolicy>(
+    qram: ShardedQram<FatTreeQram>,
+    policy: P,
+    queue_capacity: Option<usize>,
+) -> QramFleet<FatTreeQram, P> {
+    QramFleet::new(
+        qram,
+        1,
+        TimingModel::paper_default(),
+        policy,
+        ConsistentHashPlacement,
+        FleetConfig {
+            queue_capacity,
+            replication_lag: Layers::ZERO,
+        },
+    )
+}
+
+/// A default-tenant request.
+fn request(id: usize, arrival: Layers, address: AddressState) -> FleetRequest {
+    FleetRequest {
+        id,
+        tenant: TenantId::DEFAULT,
+        arrival,
+        address,
+    }
+}
 
 /// The pre-refactor FIFO admission recurrence, transcribed verbatim from
 /// the PR-4 `schedule_fifo`/`OnlineFifoScheduler::submit` bodies: the
@@ -103,35 +138,43 @@ proptest! {
     /// schedule on the equivalent server — for the single-shard backend
     /// (the ISSUE-5 reference pin) and for K ∈ {2, 4, 8}: strict-FIFO
     /// round-robin dispatch over identical shards *is* the divided-interval
-    /// aggregate server, constraint for constraint.
+    /// aggregate server, constraint for constraint. With a bounded queue
+    /// the shed arrivals never reach the dispatcher, so the realized
+    /// schedule is the analytic one over the accepted requests alone.
     #[test]
     fn reactor_completion_schedule_equals_online_fifo(
         gaps in prop::collection::vec(0u16..100, 1..40),
         addr_seeds in prop::collection::vec(0u64..4096, 1..40),
         k_exp in 0u32..=3,
+        queue_cap_raw in 0usize..12,
     ) {
+        // 0 means "unbounded"; bounded caps are 1..=11.
+        let queue_cap = (queue_cap_raw > 0).then_some(queue_cap_raw);
         let capacity = Capacity::new(256).unwrap();
-        let timing = TimingModel::paper_default();
         let k = 1u32 << k_exp;
         let requests = arrivals_from_gaps(&gaps);
-        let service_requests: Vec<ServiceRequest> = requests
-            .iter()
-            .zip(addr_seeds.iter().cycle())
-            .map(|(r, &seed)| ServiceRequest {
-                id: r.id,
-                arrival: r.arrival,
-                address: AddressState::classical(8, seed % 256).unwrap(),
-            })
-            .collect();
-        let qram = ShardedQram::fat_tree(capacity, k);
-        let server = QramServer::for_model(&qram, &timing);
-        let mut service = QramService::fifo(qram, timing);
+        let address = |id: usize| {
+            AddressState::classical(8, addr_seeds[id % addr_seeds.len()] % 256).unwrap()
+        };
+        let mut fleet = single_machine(ShardedQram::fat_tree(capacity, k), FifoAdmission, queue_cap);
         let cells: Vec<u64> = (0..256).map(|i| (i * 3 + 1) % 2).collect();
         let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let report = service.serve(&memory, service_requests).unwrap();
+        let report = fleet
+            .serve(
+                &memory,
+                requests.iter().map(|r| request(r.id, r.arrival, address(r.id))),
+                Vec::new(),
+            )
+            .unwrap();
 
-        let mut online = OnlineFifoScheduler::new(server);
-        for &r in &requests {
+        // Only a full queue sheds, and every request is accounted for.
+        prop_assert!(report.shed().iter().all(|s| s.reason == ShedReason::QueueFull));
+        prop_assert!(queue_cap.is_some() || report.shed().is_empty());
+        prop_assert_eq!(report.completed().len() + report.shed().len(), requests.len());
+        let shed: HashSet<usize> = report.shed().iter().map(|s| s.id).collect();
+
+        let mut online = OnlineFifoScheduler::new(fleet.equivalent_server());
+        for &r in requests.iter().filter(|r| !shed.contains(&r.id)) {
             online.submit(r).unwrap();
         }
         let realized = report.schedule();
@@ -140,9 +183,7 @@ proptest! {
         // And the real data came back: every outcome matches the ideal
         // query semantics.
         for (c, out) in report.completed().iter().zip(report.outcomes()) {
-            let ideal = memory.ideal_query(
-                &AddressState::classical(8, addr_seeds[c.id % addr_seeds.len()] % 256).unwrap(),
-            );
+            let ideal = memory.ideal_query(&address(c.id));
             prop_assert!((out.fidelity(&ideal) - 1.0).abs() < 1e-9);
         }
     }
@@ -157,22 +198,21 @@ proptest! {
     ) {
         let k = 1u32 << k_exp;
         let capacity = Capacity::new(1024).unwrap();
-        let timing = TimingModel::paper_default();
-        let qram = ShardedQram::fat_tree(capacity, k);
-        let mut service = QramService::fifo(qram, timing);
-        let requests: Vec<ServiceRequest> = arrivals_from_gaps(&gaps)
+        let mut fleet = single_machine(ShardedQram::fat_tree(capacity, k), FifoAdmission, None);
+        let requests: Vec<FleetRequest> = arrivals_from_gaps(&gaps)
             .into_iter()
-            .map(|r| ServiceRequest {
-                id: r.id,
-                arrival: r.arrival,
-                address: AddressState::classical(10, (r.id as u64 * 37) % 1024).unwrap(),
+            .map(|r| {
+                let address = AddressState::classical(10, (r.id as u64 * 37) % 1024).unwrap();
+                request(r.id, r.arrival, address)
             })
             .collect();
         let total = requests.len() as u64;
         let memory = ClassicalMemory::zeros(1024);
-        let report = service.serve(&memory, requests).unwrap();
-        let counts = report.per_shard_dispatches();
-        prop_assert_eq!(counts.len(), k as usize);
+        let report = fleet.serve(&memory, requests, Vec::new()).unwrap();
+        let mut counts = vec![0u64; k as usize];
+        for c in report.completed() {
+            counts[c.shard] += 1;
+        }
         prop_assert_eq!(counts.iter().sum::<u64>(), total);
         let max = counts.iter().copied().max().unwrap();
         let min = counts.iter().copied().min().unwrap();
@@ -224,30 +264,27 @@ proptest! {
 #[test]
 fn reactor_handles_bursty_traffic_end_to_end() {
     // A deterministic bursty trace through the full stack: generator →
-    // service → histogram. Tail latency must strictly exceed the median
+    // single machine → histogram. Tail latency must strictly exceed the median
     // under bursts (queueing), and every accepted query completes.
     use fat_tree_qram::sched::bursty_arrivals;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let capacity = Capacity::new(4096).unwrap();
-    let timing = TimingModel::paper_default();
-    let qram = ShardedQram::fat_tree(capacity, 4);
-    let mut service = QramService::fifo(qram, timing);
+    let mut fleet = single_machine(ShardedQram::fat_tree(capacity, 4), FifoAdmission, None);
     let mut rng = StdRng::seed_from_u64(20260727);
     // ON bursts near 4× the aggregate service rate, long OFF gaps.
     let aggregate_rate = 4.0 / 8.25;
     let arrivals = bursty_arrivals(4.0 * aggregate_rate, 40.0, 120.0, 400, &mut rng);
-    let requests: Vec<ServiceRequest> = arrivals
+    let requests: Vec<FleetRequest> = arrivals
         .iter()
-        .map(|r| ServiceRequest {
-            id: r.id,
-            arrival: r.arrival,
-            address: AddressState::classical(12, (r.id as u64 * 1103) % 4096).unwrap(),
+        .map(|r| {
+            let address = AddressState::classical(12, (r.id as u64 * 1103) % 4096).unwrap();
+            request(r.id, r.arrival, address)
         })
         .collect();
     let memory = ClassicalMemory::zeros(4096);
-    let report = service.serve(&memory, requests).unwrap();
+    let report = fleet.serve(&memory, requests, Vec::new()).unwrap();
     assert_eq!(report.completed().len(), 400);
     let hist = report.latency_histogram();
     assert_eq!(hist.count(), 400);
@@ -257,25 +294,24 @@ fn reactor_handles_bursty_traffic_end_to_end() {
         "bursts must induce a latency tail: p50 {p50} p99 {p99}"
     );
     // The floor is the monolithic single-query latency.
-    let t1 = service.equivalent_server().latency();
+    let t1 = fleet.equivalent_server().latency();
     assert!(hist.min() >= t1);
 }
 
 #[test]
 fn noise_aware_service_serves_fewer_queries_concurrently() {
-    // The same tight-target policy mounted on the live service: peak
+    // The same tight-target policy mounted on the live machine: peak
     // in-flight occupancy (reconstructed from the realized schedule) must
     // stay at the distillation batch cap while FIFO fills the pipeline.
     let capacity = Capacity::new(16).unwrap();
     let timing = TimingModel::paper_default();
     let rates = GateErrorRates::from_cswap_rate(2e-3);
     let make = || ShardedQram::fat_tree(capacity, 2);
-    let requests = |n: usize| -> Vec<ServiceRequest> {
+    let requests = |n: usize| -> Vec<FleetRequest> {
         (0..n)
-            .map(|id| ServiceRequest {
-                id,
-                arrival: Layers::ZERO,
-                address: AddressState::classical(4, id as u64 % 16).unwrap(),
+            .map(|id| {
+                let address = AddressState::classical(4, id as u64 % 16).unwrap();
+                request(id, Layers::ZERO, address)
             })
             .collect()
     };
@@ -294,19 +330,18 @@ fn noise_aware_service_serves_fewer_queries_concurrently() {
             .unwrap()
     };
 
-    let mut fifo_service = QramService::fifo(make(), timing);
-    let fifo_report = fifo_service.serve(&memory, requests(12)).unwrap();
+    let mut fifo_machine = single_machine(make(), FifoAdmission, None);
+    let fifo_report = fifo_machine
+        .serve(&memory, requests(12), Vec::new())
+        .unwrap();
     let fifo_schedule = fifo_report.schedule();
 
     let tight = NoiseAwareAdmission::for_model(&make(), &rates, 1e-3);
     assert_eq!(tight.copies(), 4);
-    let mut noise_service = QramService::new(
-        make(),
-        timing,
-        tight,
-        fat_tree_qram::serve::ServiceConfig::default(),
-    );
-    let noise_report = noise_service.serve(&memory, requests(12)).unwrap();
+    let mut noise_machine = single_machine(make(), tight, None);
+    let noise_report = noise_machine
+        .serve(&memory, requests(12), Vec::new())
+        .unwrap();
     let noise_schedule = noise_report.schedule();
 
     let cap = tight.batch_cap(QramServer::for_model(&make(), &timing).parallelism()) as usize;
