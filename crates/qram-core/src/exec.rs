@@ -49,8 +49,8 @@
 //!    address set once, count distinct sets once — no per-query hashing),
 //!    retrieval parities for 1-bit buses are gathered bit-parallel from a
 //!    packed memory image (64 branches per `u64` word), sharded batches
-//!    radix-partition the column by the low-order shard bits instead of
-//!    building per-shard sub-batch maps, and per-query outcomes are
+//!    read the global image directly (interleaved shards need no
+//!    per-shard copy), and per-query outcomes are
 //!    constant-size views into one shared term column
 //!    (`QueryOutcome::from_shared_column`) — one column allocation per
 //!    memory epoch instead of one `Vec` per query.

@@ -5,11 +5,13 @@
 //! A [`ShardedQram`] splits a capacity-`N` address space across `K`
 //! capacity-`N/K` component QRAMs by the *low-order* `log₂ K` address bits
 //! (bank interleaving, as in banked lookup-table engines): cell `a` lives
-//! in shard `a mod K` at local address `⌊a / K⌋`. A query superposition is
-//! split by shard bits into per-shard sub-queries, executed against their
-//! shard memories, and recombined, so the sharded machine is observably
-//! equivalent to a monolithic capacity-`N` machine while multiplying
-//! admission bandwidth by `K` under round-robin admission.
+//! in shard `a mod K` at local address `⌊a / K⌋`. The sharded machine is
+//! observably equivalent to a monolithic capacity-`N` machine while
+//! multiplying admission bandwidth by `K` under round-robin admission:
+//! compiled batches read the global image directly, and the interpreter
+//! oracle splits each query superposition by shard bits into per-shard
+//! sub-queries, executes them against their shard memories, and
+//! recombines them.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -463,22 +465,21 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         self.shards[shard].retrieval_layer(query_index / k) + shard as u64
     }
 
-    /// Sharded batched execution: splits each query's superposition by
-    /// shard bits, executes per-shard sub-batches through the shared
-    /// instruction-level engine against interleaved shard memories, and
-    /// recombines per-branch outcomes — observably equivalent to the
+    /// Sharded batched execution, observably equivalent to the
     /// monolithic machine.
     ///
-    /// When the shard architecture exposes a compiled plan
-    /// ([`QramModel::compiled_query`]), the whole batch runs through the
-    /// columnar structure-of-arrays kernel: per memory epoch, the
-    /// flattened term column is radix-partitioned by the low-order shard
-    /// bits and gathered per shard segment (bit-parallel from packed
-    /// per-shard images for 1-bit buses) — no per-shard sub-state
-    /// construction. Otherwise each query runs through the interpreter
-    /// sweep of [`Self::execute_queries_sequential`].
+    /// Shards interleave the address space (shard `s`'s local cell `a` is
+    /// global cell `(a << log₂K) | s`), so when the shard architecture
+    /// exposes a compiled plan ([`QramModel::compiled_query`]) the whole
+    /// batch runs through the monolithic columnar kernel reading the
+    /// global image directly — no per-call copy into `K` shard memories.
+    /// Only the sharded retrieval layers differ from the monolith, and
+    /// they alone order queries against memory writes. Otherwise each
+    /// query runs through the interpreter sweep of
+    /// [`Self::execute_queries_sequential`], which splits every query's
+    /// superposition by shard bits and recombines the per-shard outcomes.
     ///
-    /// Memory updates route to the owning shard and follow the §7.2
+    /// Memory updates are in global addressing and follow the §7.2
     /// classical-swap tie semantics of [`crate::model::execute_batch`]: an
     /// update whose layer *equals* a query's retrieval layer is visible to
     /// that query.
@@ -491,7 +492,11 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
         let Some(plan) = self.shards[0].compiled_query() else {
             return self.execute_queries_sequential(memory, addresses, memory_updates);
         };
-        let mut shard_mems = self.shard_memories(memory);
+        assert_eq!(
+            memory.capacity() as u64,
+            self.capacity.get(),
+            "memory capacity must match QRAM capacity"
+        );
         if addresses.is_empty() {
             return Ok(Vec::new());
         }
@@ -505,16 +510,15 @@ impl<M: QramModel> QramModel for ShardedQram<M> {
                 .collect()
         };
         // Bit-equal to the interpreter sweep (property-tested), infallible
-        // by compile-time proof.
-        Ok(crate::soa::execute_sharded_columnar(
+        // by compile-time proof. The sharded path reports no cache stats.
+        let (outcomes, _) = crate::soa::execute_batch_columnar(
             &plan,
-            &mut shard_mems,
-            self.shard_bits(),
-            self.capacity.address_width(),
+            memory,
             addresses,
             &retrievals,
             memory_updates,
-        ))
+        );
+        Ok(outcomes)
     }
 }
 

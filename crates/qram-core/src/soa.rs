@@ -22,11 +22,6 @@
 //!   parities are gathered from a packed memory image (cell `a` → bit
 //!   `a mod 64` of word `a / 64`), accumulating 64 branches per `u64`
 //!   word before scattering into the term column.
-//! * **Shard radix partition** — the sharded kernel partitions each
-//!   epoch's entries by the low-order shard bits with one counting sort
-//!   (no per-shard `HashMap` sub-batches), then gathers per shard
-//!   segment, keeping per-shard packed images with dirty flags across
-//!   epochs.
 //! * **Shared outcome column** — every epoch appends its terms to one
 //!   batch-wide `(amplitude, address, data)` column; per-query outcomes
 //!   are constant-size views into the final `Arc` of that column
@@ -58,16 +53,19 @@ struct Columns {
 
 impl Columns {
     /// One-pass flatten. Asserts every query's address width against the
-    /// expected width with the given message (matching the row path's
-    /// per-query assertion).
-    fn flatten(addresses: &[AddressState], width: u32, width_msg: &'static str) -> Self {
+    /// expected width (matching the row path's per-query assertion).
+    fn flatten(addresses: &[AddressState], width: u32) -> Self {
         let total: usize = addresses.iter().map(AddressState::num_branches).sum();
         let mut offsets = Vec::with_capacity(addresses.len() + 1);
         let mut amps = Vec::with_capacity(total);
         let mut addrs = Vec::with_capacity(total);
         offsets.push(0);
         for address in addresses {
-            assert_eq!(address.address_width(), width, "{width_msg}");
+            assert_eq!(
+                address.address_width(),
+                width,
+                "address width must match memory capacity"
+            );
             for &(amp, addr) in address.iter() {
                 amps.push(amp);
                 addrs.push(addr);
@@ -180,13 +178,13 @@ fn bit_parallel_pays(bus_width: u32, gathers: usize, cells: usize) -> bool {
 }
 
 /// Fills the `data` component of `terms` bit-parallel from a packed
-/// image, addressing through `local(address)`: 64 branch parities are
-/// accumulated into one `u64` word, then scattered.
-fn gather_bits(terms: &mut [(Complex, u64, u64)], image: &[u64], local: impl Fn(u64) -> u64) {
+/// image: 64 branch parities are accumulated into one `u64` word, then
+/// scattered.
+fn gather_bits(terms: &mut [(Complex, u64, u64)], image: &[u64]) {
     for chunk in terms.chunks_mut(64) {
         let mut word = 0u64;
         for (j, term) in chunk.iter().enumerate() {
-            let a = local(term.1);
+            let a = term.1;
             word |= (image[(a >> 6) as usize] >> (a & 63) & 1) << j;
         }
         for (j, term) in chunk.iter_mut().enumerate() {
@@ -195,12 +193,13 @@ fn gather_bits(terms: &mut [(Complex, u64, u64)], image: &[u64], local: impl Fn(
     }
 }
 
-/// The columnar batch kernel for a monolithic backend with a compiled
-/// plan — the engine behind
-/// [`execute_batch_traced`](crate::execute_batch_traced) whenever
+/// The columnar batch kernel for a backend with a compiled plan — the
+/// engine behind [`execute_batch_traced`](crate::execute_batch_traced)
+/// and [`ShardedQram`](crate::ShardedQram)'s batches whenever
 /// [`QramModel::compiled_query`](crate::QramModel::compiled_query) is
-/// available. Infallible: the plan was proven valid for every address at
-/// compile time.
+/// available. Interleaved shards read the global image directly; only
+/// their retrieval layers differ from the monolith's. Infallible: the
+/// plan was proven valid for every address at compile time.
 ///
 /// `retrievals` is only consulted when `memory_updates` is non-empty (an
 /// update-free batch is a single epoch in query order, which needs no
@@ -224,7 +223,7 @@ pub(crate) fn execute_batch_columnar(
         // accounting, and the term column fuse into a single pass.
         return execute_single_epoch(plan, memory, addresses, n, bus_width);
     }
-    let cols = Columns::flatten(addresses, n, "address width must match memory capacity");
+    let cols = Columns::flatten(addresses, n);
     let total = cols.addrs.len();
     let mut column: Vec<(Complex, u64, u64)> = Vec::with_capacity(total);
     let mut ranges: Vec<(usize, usize)> = vec![(0, 0); addresses.len()];
@@ -255,7 +254,7 @@ pub(crate) fn execute_batch_columnar(
                 pack_image(cells, &mut image);
                 *image_valid = true;
             }
-            gather_bits(epoch, &image, |a| a);
+            gather_bits(epoch, &image);
         } else {
             for term in epoch.iter_mut() {
                 term.2 = cells[term.1 as usize];
@@ -363,7 +362,7 @@ fn execute_single_epoch(
         if bit_parallel_pays(bus_width, column.len(), cells.len()) {
             let mut image = Vec::new();
             pack_image(cells, &mut image);
-            gather_bits(&mut column, &image, |a| a);
+            gather_bits(&mut column, &image);
         } else {
             for term in column.iter_mut() {
                 term.2 = cells[term.1 as usize];
@@ -385,243 +384,4 @@ fn execute_single_epoch(
             .collect()
     };
     (outcomes, stats)
-}
-
-/// The columnar batch kernel for [`ShardedQram`](crate::ShardedQram)
-/// with a compiled shard plan: the same epoch structure as
-/// [`execute_batch_columnar`], with each epoch's entries radix-
-/// partitioned across shards by the low-order `shard_bits` address bits
-/// (one counting sort — no per-shard sub-batch maps) and gathered per
-/// shard segment against the interleaved shard memories. Per-shard packed
-/// 1-bit images persist across epochs behind dirty flags, so only shards
-/// actually written between epochs rebuild.
-///
-/// Memory updates arrive in *global* addressing and are routed to the
-/// owning shard here, mutating `shard_mems` exactly like the interpreter
-/// sweep. No cache statistics: the sharded path has never reported them.
-///
-/// # Panics
-///
-/// Panics if any query's address width mismatches the sharded capacity
-/// (same message as the interpreter path).
-pub(crate) fn execute_sharded_columnar(
-    plan: &CompiledQuery,
-    shard_mems: &mut [ClassicalMemory],
-    shard_bits: u32,
-    address_width: u32,
-    addresses: &[AddressState],
-    retrievals: &[u64],
-    memory_updates: &[(u64, u64, u64)],
-) -> Vec<QueryOutcome> {
-    let bus_width = shard_mems[0].bus_width();
-    let mut gather = ShardGather::new(shard_mems, shard_bits);
-    let reads_data = plan.reads_data();
-
-    if memory_updates.is_empty() {
-        let total: usize = addresses.iter().map(|a| a.terms().len()).sum();
-        if total > addresses.len() {
-            // Multi-branch queries present: each outcome owns its terms,
-            // filled and gathered in place — one write pass per term, no
-            // intermediate column to re-copy into shared storage.
-            let mut outcomes = Vec::with_capacity(addresses.len());
-            for address in addresses {
-                assert_eq!(
-                    address.address_width(),
-                    address_width,
-                    "address width must match QRAM capacity"
-                );
-                let mut terms: Vec<(Complex, u64, u64)> = address
-                    .terms()
-                    .iter()
-                    .map(|&(amp, a)| (amp, a, 0))
-                    .collect();
-                if reads_data {
-                    gather.gather(&mut terms, shard_mems);
-                }
-                outcomes.push(QueryOutcome::from_terms(address_width, bus_width, terms));
-            }
-            return outcomes;
-        }
-        // All single-branch (the serving shape): one epoch in query order,
-        // flattened in a single fused pass, outcomes stored inline.
-        let mut column: Vec<(Complex, u64, u64)> = Vec::with_capacity(total);
-        for address in addresses {
-            assert_eq!(
-                address.address_width(),
-                address_width,
-                "address width must match QRAM capacity"
-            );
-            let &(amp, a) = &address.terms()[0];
-            column.push((amp, a, 0));
-        }
-        if reads_data {
-            gather.gather(&mut column, shard_mems);
-        }
-        return column
-            .iter()
-            .map(|&term| QueryOutcome::from_term(address_width, bus_width, term))
-            .collect();
-    }
-
-    let cols = Columns::flatten(
-        addresses,
-        address_width,
-        "address width must match QRAM capacity",
-    );
-    let total = cols.addrs.len();
-    let mut column: Vec<(Complex, u64, u64)> = Vec::with_capacity(total);
-    let mut ranges: Vec<(usize, usize)> = vec![(0, 0); addresses.len()];
-    let shard_mask = gather.shard_mask;
-
-    let mut process_epoch =
-        |pending: &[usize], shard_mems: &[ClassicalMemory], gather: &mut ShardGather| {
-            let epoch_start = column.len();
-            for &q in pending {
-                let (start, end) = cols.range(q);
-                let out_start = column.len();
-                for i in start..end {
-                    column.push((cols.amps[i], cols.addrs[i], 0));
-                }
-                ranges[q] = (out_start, column.len());
-            }
-            if reads_data {
-                gather.gather(&mut column[epoch_start..], shard_mems);
-            }
-        };
-
-    let mut pending: Vec<usize> = Vec::with_capacity(addresses.len());
-    retrieval_order_sweep(retrievals, memory_updates, |event| -> Result<(), ()> {
-        match event {
-            SweepEvent::Update { address, value } => {
-                if !pending.is_empty() {
-                    process_epoch(&pending, shard_mems, &mut gather);
-                    pending.clear();
-                }
-                let s = (address & shard_mask) as usize;
-                shard_mems[s].write(address >> shard_bits, value);
-                gather.invalidate(s);
-            }
-            SweepEvent::Query(q) => pending.push(q),
-        }
-        Ok(())
-    })
-    .expect("columnar sweep is infallible");
-    if !pending.is_empty() {
-        process_epoch(&pending, shard_mems, &mut gather);
-    }
-
-    let column: Arc<[(Complex, u64, u64)]> = column.into();
-    ranges
-        .iter()
-        .map(|&(start, end)| {
-            QueryOutcome::from_shared_column(address_width, bus_width, &column, start, end)
-        })
-        .collect()
-}
-
-/// The per-epoch shard gather of [`execute_sharded_columnar`]: radix-
-/// partitions an epoch's term entries by the low-order shard bits with
-/// one counting sort (no per-shard `HashMap` sub-batches) and fills each
-/// entry's data from its owning shard — bit-parallel from packed 1-bit
-/// images where that pays. Per-shard images persist across epochs behind
-/// dirty flags ([`Self::invalidate`]); counting-sort scratch is reused.
-struct ShardGather {
-    images: Vec<Vec<u64>>,
-    image_valid: Vec<bool>,
-    counts: Vec<usize>,
-    cursors: Vec<usize>,
-    perm: Vec<usize>,
-    shard_bits: u32,
-    shard_mask: u64,
-    bus_width: u32,
-    shard_cells: usize,
-}
-
-impl ShardGather {
-    fn new(shard_mems: &[ClassicalMemory], shard_bits: u32) -> Self {
-        let num_shards = shard_mems.len();
-        ShardGather {
-            images: vec![Vec::new(); num_shards],
-            image_valid: vec![false; num_shards],
-            counts: vec![0; num_shards],
-            cursors: vec![0; num_shards],
-            perm: Vec::new(),
-            shard_bits,
-            shard_mask: num_shards as u64 - 1,
-            bus_width: shard_mems[0].bus_width(),
-            shard_cells: shard_mems[0].capacity(),
-        }
-    }
-
-    /// Marks shard `s`'s packed image stale after a write.
-    fn invalidate(&mut self, s: usize) {
-        self.image_valid[s] = false;
-    }
-
-    fn gather(&mut self, epoch: &mut [(Complex, u64, u64)], shard_mems: &[ClassicalMemory]) {
-        // Radix partition by the low-order shard bits: one counting sort
-        // over the epoch yields, per shard, the (ascending) entry indices
-        // it serves.
-        self.counts.fill(0);
-        for term in epoch.iter() {
-            self.counts[(term.1 & self.shard_mask) as usize] += 1;
-        }
-        // The partition only earns its keep feeding per-shard packed
-        // images; when every shard's cells are L1-resident a direct
-        // indexed load per term is cheaper than building the permutation.
-        let any_image = self
-            .counts
-            .iter()
-            .any(|&count| bit_parallel_pays(self.bus_width, count, self.shard_cells));
-        if !any_image {
-            for term in epoch.iter_mut() {
-                let s = (term.1 & self.shard_mask) as usize;
-                term.2 = shard_mems[s].cells()[(term.1 >> self.shard_bits) as usize];
-            }
-            return;
-        }
-        let mut running = 0;
-        for (cursor, &count) in self.cursors.iter_mut().zip(&self.counts) {
-            *cursor = running;
-            running += count;
-        }
-        self.perm.clear();
-        self.perm.resize(epoch.len(), 0);
-        for (i, term) in epoch.iter().enumerate() {
-            let s = (term.1 & self.shard_mask) as usize;
-            self.perm[self.cursors[s]] = i;
-            self.cursors[s] += 1;
-        }
-        let mut segment_start = 0;
-        for (s, &count) in self.counts.iter().enumerate() {
-            let segment = &self.perm[segment_start..segment_start + count];
-            segment_start += count;
-            if count == 0 {
-                continue;
-            }
-            let cells = shard_mems[s].cells();
-            if bit_parallel_pays(self.bus_width, count, self.shard_cells) {
-                if !self.image_valid[s] {
-                    pack_image(cells, &mut self.images[s]);
-                    self.image_valid[s] = true;
-                }
-                let image = &self.images[s];
-                for chunk in segment.chunks(64) {
-                    let mut word = 0u64;
-                    for (j, &i) in chunk.iter().enumerate() {
-                        let a = epoch[i].1 >> self.shard_bits;
-                        word |= (image[(a >> 6) as usize] >> (a & 63) & 1) << j;
-                    }
-                    for (j, &i) in chunk.iter().enumerate() {
-                        epoch[i].2 = word >> j & 1;
-                    }
-                }
-            } else {
-                for &i in segment {
-                    let a = epoch[i].1 >> self.shard_bits;
-                    epoch[i].2 = cells[a as usize];
-                }
-            }
-        }
-    }
 }

@@ -2304,7 +2304,7 @@ fn finish_shed(
     outstanding_map: &mut BTreeMap<TenantId, u32>,
     open: &mut usize,
 ) {
-    debug_assert!(!states[qid].done, "a query resolves exactly once");
+    assert!(!states[qid].done, "a query resolves exactly once");
     states[qid].done = true;
     shed.push(ShedRequest {
         id: states[qid].id,

@@ -1,16 +1,20 @@
-//! Memory-bound pin on the fleet's serving loop: replicated writes must
-//! not grow the peak heap with the write count. Each query reads its
-//! replica's live memory, so a serve holds `O(R·N)` bytes of memory
-//! images however many writes it applies — not one image per
-//! (replica, applied epoch).
+//! Memory-bound pins on the fleet's serving loop and the sharded batch
+//! kernel beneath it. Replicated writes must not grow the peak heap with
+//! the write count: each query reads its replica's live memory, so a
+//! serve holds `O(R·N)` bytes of memory images however many writes it
+//! applies — not one image per (replica, applied epoch). And a sharded
+//! batch reads that image in place instead of copying it into `K` shard
+//! memories per call.
 //!
-//! One `#[test]` only: the peak-tracking allocator is process-global,
-//! and a concurrently running test would perturb the high-water mark.
+//! The peak-tracking allocator is process-global, so every test holds
+//! [`SERIAL`] while it measures: a concurrently running test would
+//! perturb the high-water mark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use fat_tree_qram::core::ShardedQram;
+use fat_tree_qram::core::{QramModel, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{FifoAdmission, TenantId};
@@ -53,6 +57,16 @@ unsafe impl GlobalAlloc for PeakAllocator {
 #[global_allocator]
 static GLOBAL: PeakAllocator = PeakAllocator;
 
+/// Serializes the tests of this binary around the shared counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters are still usable.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Peak live bytes `run` adds above the live bytes at its start.
 fn peak_growth(run: impl FnOnce()) -> usize {
     let base = LIVE.load(Ordering::Relaxed);
@@ -72,6 +86,7 @@ const GAP: f64 = 4.0;
 
 #[test]
 fn peak_heap_does_not_grow_with_the_write_count() {
+    let _serial = serial();
     let mut fleet = QramFleet::new(
         ShardedQram::fat_tree(Capacity::new(CELLS).unwrap(), SHARDS),
         REPLICAS,
@@ -129,5 +144,36 @@ fn peak_heap_does_not_grow_with_the_write_count() {
          ({:.1} memory images of {image} bytes; the bound is {})",
         extra as f64 / image as f64,
         2 * REPLICAS,
+    );
+}
+
+#[test]
+fn a_sharded_batch_reads_the_image_without_copying_it() {
+    let _serial = serial();
+    const WIDTH: u32 = 16;
+    const CELLS: u64 = 1 << WIDTH;
+    let qram = ShardedQram::fat_tree(Capacity::new(CELLS).unwrap(), SHARDS);
+    let cells: Vec<u64> = (0..CELLS).map(|i| (i * 37 + 11) % 256).collect();
+    let memory = ClassicalMemory::from_words(8, &cells).unwrap();
+    let addresses: Vec<AddressState> = (0..64)
+        .map(|i| AddressState::classical(WIDTH, (i * 1031) % CELLS).unwrap())
+        .collect();
+    // Warm the lazily built plan so the measured call does not pay for it.
+    qram.execute_queries(&memory, &addresses, &[]).unwrap();
+
+    let growth = peak_growth(|| {
+        let outcomes = qram.execute_queries(&memory, &addresses, &[]).unwrap();
+        for (outcome, address) in outcomes.iter().zip(&addresses) {
+            let a = address.terms()[0].1;
+            assert_eq!(outcome.data_for(a), Some(cells[a as usize]));
+        }
+    });
+
+    let image = CELLS as usize * std::mem::size_of::<u64>();
+    assert!(
+        growth < image / 4,
+        "a 64-query batch raised the peak heap by {growth} bytes \
+         ({:.2} memory images of {image} bytes; the bound is 1/4)",
+        growth as f64 / image as f64,
     );
 }

@@ -268,34 +268,65 @@ proptest! {
         prop_assert!(once <= eps + 1e-15);
     }
 
-    /// `ShardedQram::execute_queries` (the columnar kernel) equals the
-    /// interpreter oracle `execute_queries_sequential` on batches of wide,
-    /// shard-spanning superpositions with interleaved memory writes, for
-    /// Fat-Tree and bucket-brigade shards and K ∈ {2, 4, 8}.
+    /// `ShardedQram::execute_queries` (the columnar kernel over the global
+    /// image) equals the interpreter oracle `execute_queries_sequential`
+    /// (which splits the image into shard memories) for Fat-Tree and
+    /// bucket-brigade shards and K ∈ {2, 4, 8}. Batches mix wide,
+    /// shard-spanning superpositions with single-branch classical queries,
+    /// with interleaved memory writes (ties with retrieval layers
+    /// included), on 1- and 8-bit buses. One input range runs at
+    /// N = 2¹³ on a 1-bit bus with dense superpositions, so the kernel's
+    /// bit-parallel gather from the packed global image takes part.
     #[test]
     fn sharded_columnar_and_sequential_agree(
-        n in 4u32..=6,
+        // 0..=2: N = 2⁴..2⁶; 3: N = 2¹³, dense, 1-bit bus.
+        size in 0u32..=3,
         k_exp in 1u32..=3,
-        seed_cells in prop::collection::vec(0u64..2, 1..64),
+        wide_bus in 0u32..2,
+        seed_cells in prop::collection::vec(0u64..256, 1..64),
         query_strides in prop::collection::vec(1u64..23, 1..5),
+        // Each pick inserts a classical query at position
+        // `pick % (len + 1)` reading address `pick % N`.
+        classical_picks in prop::collection::vec(0u64..(1 << 20), 0..6),
         // The vendored proptest has no tuple strategies: each u64 encodes
         // (layer, address, value) and is decoded below.
         updates in prop::collection::vec(0u64..(200 * 64 * 2), 0..4),
     ) {
+        let (n, bus_width) = match size {
+            3 => (13, 1),
+            small => (4 + small, if wide_bus == 1 { 8 } else { 1 }),
+        };
         let capacity = 1u64 << n;
         let k = 1u32 << k_exp.min(n - 1);
-        let mut cells = seed_cells;
-        cells.resize(capacity as usize, 0);
-        let memory = ClassicalMemory::from_words(1, &cells).unwrap();
-        let addresses: Vec<AddressState> = query_strides
+        let mask = (1u64 << bus_width) - 1;
+        let mut cells: Vec<u64> = seed_cells.iter().map(|c| c & mask).collect();
+        // Extend by repeating the seed, so large memories are not all zero.
+        cells = cells.iter().copied().cycle().take(capacity as usize).collect();
+        let memory = ClassicalMemory::from_words(bus_width, &cells).unwrap();
+        // One dense superposition already fills the N / 8 gathers per
+        // epoch the packed path needs; more only slow the interpreter.
+        let superpositions = if size == 3 { 1 } else { query_strides.len() };
+        let mut addresses: Vec<AddressState> = query_strides[..superpositions]
             .iter()
             .map(|&stride| {
-                let mut a: Vec<u64> = (0..capacity).map(|i| (i * stride) % capacity).collect();
+                let mut a: Vec<u64> = if size == 3 {
+                    // N / 8 branches sharing their low three bits, so on
+                    // one shard: the oracle's cross-shard recombination
+                    // is quadratic in the branch count.
+                    let step = 8 * (stride | 1);
+                    (0..capacity / 8).map(|i| (i * step + stride) % capacity).collect()
+                } else {
+                    (0..capacity).map(|i| (i * stride) % capacity).collect()
+                };
                 a.sort_unstable();
                 a.dedup();
                 AddressState::uniform(n, &a).unwrap()
             })
             .collect();
+        for &pick in &classical_picks {
+            let at = (pick % (addresses.len() as u64 + 1)) as usize;
+            addresses.insert(at, AddressState::classical(n, pick % capacity).unwrap());
+        }
         let updates: Vec<(u64, u64, u64)> = updates
             .into_iter()
             .map(|enc| (enc / 128, (enc / 2) % capacity, enc % 2))
