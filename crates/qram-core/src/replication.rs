@@ -222,7 +222,8 @@ impl ReplicatedMemory {
     /// log — a **fault-injection hook** modeling silent media corruption,
     /// for exercising the anti-entropy scrubber. The replica's applied
     /// epoch is untouched: the divergence is invisible to staleness
-    /// tracking and only a digest comparison can find it.
+    /// tracking and only a scrub that compares each chunk against the
+    /// durable chain can find it.
     ///
     /// # Panics
     ///

@@ -38,8 +38,9 @@
 //!   and bit-flip injection hooks.
 //! * [`DurableFleet`] — the write-ahead log + checkpoint lifecycle and
 //!   the [`DurableFleet::recover`] path that rebuilds state from disk.
-//! * [`digest`] — chunked FNV-1a digests with a Merkle-style fold, the
-//!   currency of the anti-entropy scrubber in `qram-serve`.
+//! * [`DurableFleet::state_at`] — the chain's image at any retained
+//!   epoch, which the anti-entropy scrubber in `qram-serve` compares
+//!   each chunk of a live replica against.
 //!
 //! The module is std-only by design: framing, checksums, and the
 //! directory abstraction are all hand-rolled so the store works in the
@@ -63,14 +64,12 @@
 //! ```
 
 pub mod checkpoint;
-pub mod digest;
 pub mod dir;
 pub mod durable;
 pub mod frame;
 pub mod wal;
 
 pub use checkpoint::{delta_file, Delta, CHECKPOINT_FILE, CHECKPOINT_TMP, DELTA_TMP};
-pub use digest::{chunk_digests, fnv1a64, fnv1a64_words, merkle_root};
 pub use dir::{Dir, DirOp, FaultyFile, OsDir, SimDir};
 pub use durable::{CheckpointPolicy, DurableFleet, RecoveredState, SyncSummary};
 pub use frame::{crc32, frames, FrameIter, ScanOutcome, TailDefect};

@@ -72,9 +72,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use qram_core::store::{
-    chunk_digests, frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary,
-};
+use qram_core::store::{frame, CheckpointPolicy, DurableFleet, SimDir, StoreError, SyncSummary};
 use qram_core::{ExecError, QramModel, ReplicatedMemory, ReplicatedWrite, ShardedQram};
 use qram_metrics::{
     AvailabilityCounters, HistogramFamily, IntegrityCounters, LatencyHistogram, Layers, QueryRate,
@@ -323,7 +321,8 @@ enum Event {
     StallEnd { replica: usize, shard: usize },
     /// The health monitor samples heartbeats and brownout occupancy.
     MonitorTick,
-    /// The anti-entropy scrubber audits the WAL and replica digests.
+    /// The anti-entropy scrubber audits the WAL and compares each
+    /// replica chunk against the durable chain.
     ScrubTick,
     /// The open commit group's flush deadline: land it even if it never
     /// fills. `seq` is the durability tier's sync count when the group
@@ -401,7 +400,7 @@ impl FleetReport {
     }
 
     /// The durability ledger of the run: WAL appends, checkpoints, scrub
-    /// cycles, digest mismatches, and repairs. All zero for runs without
+    /// cycles, chunk mismatches, and repairs. All zero for runs without
     /// disk faults, scrubbing, or an external durable store.
     #[must_use]
     pub fn integrity(&self) -> &IntegrityCounters {
@@ -996,9 +995,10 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     /// # Panics
     ///
     /// Panics on the same conditions as [`QramFleet::serve`], if the plan
-    /// names an out-of-range replica or shard, or if monitoring is active
+    /// names an out-of-range replica or shard, if monitoring is active
     /// (non-empty plan or a brownout controller) with a non-positive
-    /// `monitor_interval`.
+    /// `monitor_interval`, or if scrubbing is active with a non-positive
+    /// `scrub_interval` or a zero `scrub_chunk_cells`.
     pub fn serve_with_faults(
         &mut self,
         memory: &ClassicalMemory,
@@ -1029,7 +1029,8 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     /// replication fans out, the Recovering → rejoin flow replays a
     /// restarted replica from the durable chain instead of the in-memory
     /// log, and [`FaultConfig::scrub_interval`] schedules anti-entropy
-    /// scrubs that audit the WAL and replica digests against the chain.
+    /// scrubs that audit the WAL and compare each chunk of replica
+    /// memory against the chain.
     ///
     /// The store's durable chain must end at `memory` (a fresh
     /// [`DurableFleet::create`] from the same image, or a recovered store
@@ -1101,9 +1102,8 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         let mut executed: Vec<Vec<QueryOutcome>> = vec![Vec::new(); num_replicas];
         let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
         let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
-        // Which admitted query each dispatch belongs to, and whether its
-        // completion has been consumed (or invalidated by a crash).
-        let mut dispatch_qids: Vec<Vec<usize>> = vec![Vec::new(); num_replicas];
+        // Whether each dispatch's completion has been consumed (or
+        // invalidated by a crash); `Replica::tag_of` names its query.
         let mut handled: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
 
         let mut arrivals: Vec<FleetRequest> = requests
@@ -1173,11 +1173,13 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         // keeping the empty-plan reactor bit-identical to the fault-free
         // loop.
         let total_cells = memory.cells().len() as u64;
+        // A one-replica fleet has no peer to fan writes out to.
+        let replication_lag = (num_replicas > 1).then_some(self.config.replication_lag);
         let mut ephemeral: Option<DurableFleet> = None;
         let mut durability: Option<Durability<'_>> = match store {
             Some(s) => {
                 s.set_group_commit(fault_config.group_commit);
-                Some(Durability::new(s))
+                Some(Durability::new(s, replication_lag))
             }
             None if plan.has_disk_faults()
                 || fault_config.scrub_interval.is_some()
@@ -1189,15 +1191,10 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                     CheckpointPolicy::never(),
                 )?
                 .with_group_commit(fault_config.group_commit);
-                Some(Durability::new(ephemeral.insert(fresh)))
+                Some(Durability::new(ephemeral.insert(fresh), replication_lag))
             }
             None => None,
         };
-        // Fleet epochs whose Replicate fan-out is already scheduled.
-        // With a durability tier, replication only fans out from
-        // *synced* epochs (ack-at-sync); the watermark is monotone so a
-        // lying-disk rollback and re-append never duplicates an event.
-        let mut repl_scheduled = 0u64;
 
         if monitoring {
             assert!(
@@ -1244,6 +1241,10 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                 assert!(
                     interval.get() > 0.0,
                     "scrubbing needs a positive scrub interval"
+                );
+                assert!(
+                    fault_config.scrub_chunk_cells > 0,
+                    "scrub chunks must hold at least one cell"
                 );
                 events.push(interval, Event::ScrubTick);
             }
@@ -1371,7 +1372,6 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                         };
                         settle(qram, &replicated, &replicas, &mut executed, origin)?;
                         let epoch = replicated.write_at(origin, write.address, write.value);
-                        let mut synced_to = None;
                         if let Some(d) = durability.as_mut() {
                             // Log the write durably before replication
                             // fans out: the commit-group sync is the
@@ -1389,7 +1389,11 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             };
                             let summary = d.append(&w, plan.tears(epoch))?;
                             if summary.synced_records > 0 {
-                                synced_to = Some(d.synced_fleet_epoch());
+                                // Ack-at-sync: replication (and with it
+                                // the stale-read watermark) only fans
+                                // out from synced epochs. The group just
+                                // landed, so the flush finds it empty.
+                                d.flush_and_replicate(&mut events, plan, now)?;
                             } else if d.store.pending_records() == 1 {
                                 // This write opened a fresh commit
                                 // group: arm its flush deadline so a
@@ -1403,40 +1407,8 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                                     );
                                 }
                             }
-                        }
-                        if num_replicas > 1 {
-                            if durability.is_some() {
-                                // Ack-at-sync: replication (and with it
-                                // the stale-read watermark) only fans
-                                // out from synced epochs.
-                                if let Some(to) = synced_to {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                    repl_scheduled = repl_scheduled.max(to);
-                                }
-                            } else {
-                                match plan.replication_fate(epoch) {
-                                    ReplicationFate::Deliver => {
-                                        events.push(
-                                            now + self.config.replication_lag,
-                                            Event::Replicate { epoch },
-                                        );
-                                    }
-                                    ReplicationFate::Drop => {}
-                                    ReplicationFate::Delay(by) => {
-                                        events.push(
-                                            now + self.config.replication_lag + by,
-                                            Event::Replicate { epoch },
-                                        );
-                                    }
-                                }
-                            }
+                        } else if let Some(lag) = replication_lag {
+                            schedule_replication(&mut events, plan, lag, now, epoch - 1, epoch);
                         }
                     }
                     Event::Replicate { epoch } => {
@@ -1454,7 +1426,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             // A crash already failed this dispatch over.
                         } else {
                             handled[replica][index] = true;
-                            let qid = dispatch_qids[replica][index];
+                            let qid = replicas[replica].tag_of(index);
                             let tenant = replicas[replica].tenant_of(index);
                             let record = replicas[replica].complete(index, now);
                             if monitoring
@@ -1527,11 +1499,11 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             for qid in replicas[replica].fail() {
                                 strand(qid, &mut states, &mut pending_failover[replica]);
                             }
-                            for index in 0..dispatch_qids[replica].len() {
+                            for index in 0..handled[replica].len() {
                                 if !handled[replica][index] {
                                     handled[replica][index] = true;
                                     strand(
-                                        dispatch_qids[replica][index],
+                                        replicas[replica].tag_of(index),
                                         &mut states,
                                         &mut pending_failover[replica],
                                     );
@@ -1577,19 +1549,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                                 // the rejoin audit sees the full synced
                                 // prefix, and fan out replication for
                                 // whatever that sync acknowledged.
-                                d.flush()?;
-                                let to = d.synced_fleet_epoch();
-                                if num_replicas > 1 && to > repl_scheduled {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                }
-                                repl_scheduled = repl_scheduled.max(to);
+                                d.flush_and_replicate(&mut events, plan, now)?;
                                 // Replay from disk, not the in-memory
                                 // log: audit the WAL, then reset the
                                 // restarted replica to the durable
@@ -1707,19 +1667,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             // replication for what it synced) before
                             // auditing, so the disk and the in-memory
                             // view describe the same prefix.
-                            d.flush()?;
-                            let to = d.synced_fleet_epoch();
-                            if num_replicas > 1 && to > repl_scheduled {
-                                schedule_replication(
-                                    &mut events,
-                                    plan,
-                                    self.config.replication_lag,
-                                    now,
-                                    repl_scheduled,
-                                    to,
-                                );
-                            }
-                            repl_scheduled = repl_scheduled.max(to);
+                            d.flush_and_replicate(&mut events, plan, now)?;
                             for r in (0..num_replicas).filter(|&r| alive[r]) {
                                 settle(qram, &replicated, &replicas, &mut executed, r)?;
                             }
@@ -1736,19 +1684,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             // Stale when a fuller group already synced
                             // (seq moved on) or the group emptied.
                             if d.syncs == seq && d.store.pending_records() > 0 {
-                                d.flush()?;
-                                let to = d.synced_fleet_epoch();
-                                if num_replicas > 1 && to > repl_scheduled {
-                                    schedule_replication(
-                                        &mut events,
-                                        plan,
-                                        self.config.replication_lag,
-                                        now,
-                                        repl_scheduled,
-                                        to,
-                                    );
-                                }
-                                repl_scheduled = repl_scheduled.max(to);
+                                d.flush_and_replicate(&mut events, plan, now)?;
                             }
                         }
                     }
@@ -1756,7 +1692,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                         // Media corruption: one bit flips in the live
                         // replica image, bypassing the replication log —
                         // invisible to staleness tracking, caught only by
-                        // a scrub's digest comparison. Dispatches settled
+                        // a scrub's chunk comparison. Dispatches settled
                         // first read the clean cell; later ones read the
                         // flipped bit until a scrub repairs the replica.
                         settle(qram, &replicated, &replicas, &mut executed, replica)?;
@@ -1899,10 +1835,9 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             }
                         }
                     });
-                    for idx in range {
+                    for _ in range {
                         dispatch_epochs[target].push(replicated.applied_epoch(target));
                         dispatch_stale[target].push(replicated.is_stale(target));
-                        dispatch_qids[target].push(replicas[target].tag_of(idx));
                         handled[target].push(false);
                     }
                 }
@@ -2054,10 +1989,17 @@ struct Durability<'a> {
     /// `counters.wal_appends` at the last monitor tick, for the
     /// adaptive group-commit controller's per-tick append rate.
     appends_at_tick: u64,
+    /// Fleet epochs whose Replicate fan-out is already scheduled.
+    /// Replication only fans out from *synced* epochs (ack-at-sync);
+    /// the watermark is monotone so a lying-disk rollback and re-append
+    /// never fans the same epoch out twice.
+    repl_scheduled: u64,
+    /// Replication lag of the fan-out; `None` on a one-replica fleet.
+    replication_lag: Option<Layers>,
 }
 
 impl<'a> Durability<'a> {
-    fn new(store: &'a mut DurableFleet) -> Self {
+    fn new(store: &'a mut DurableFleet, replication_lag: Option<Layers>) -> Self {
         let wal_base = store.durable_epoch();
         Durability {
             store,
@@ -2065,6 +2007,8 @@ impl<'a> Durability<'a> {
             counters: IntegrityCounters::default(),
             syncs: 0,
             appends_at_tick: 0,
+            repl_scheduled: 0,
+            replication_lag,
         }
     }
 
@@ -2115,10 +2059,23 @@ impl<'a> Durability<'a> {
         Ok(summary)
     }
 
-    /// The highest fleet epoch whose record has reached a synced group
-    /// — the ack/replication watermark.
-    fn synced_fleet_epoch(&self) -> u64 {
-        self.store.durable_epoch().saturating_sub(self.wal_base)
+    /// Lands the open commit group, then fans replication out for every
+    /// fleet epoch synced since the last fan-out and advances the
+    /// watermark. A single sync may acknowledge a whole group of epochs
+    /// at once.
+    fn flush_and_replicate(
+        &mut self,
+        events: &mut EventQueue<Event>,
+        plan: &FaultPlan,
+        now: Layers,
+    ) -> Result<(), StoreError> {
+        self.flush()?;
+        let synced = self.store.durable_epoch().saturating_sub(self.wal_base);
+        if let Some(lag) = self.replication_lag {
+            schedule_replication(events, plan, lag, now, self.repl_scheduled, synced);
+        }
+        self.repl_scheduled = self.repl_scheduled.max(synced);
+        Ok(())
     }
 
     /// Audits the on-disk WAL against the store's view: a torn tail is
@@ -2172,9 +2129,11 @@ impl<'a> Durability<'a> {
     }
 
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
-    /// live replica's chunked memory digest against the durable chain's
+    /// chunk of every live replica's memory against the durable chain's
     /// expected state at that replica's applied epoch, repairing
-    /// divergence by resetting the replica to the expected image.
+    /// divergence by resetting the replica to the expected image. The
+    /// replica side is re-read every cycle: a [`Fault::DiskCorrupt`]
+    /// flip bypasses the log, so nothing about it may be cached.
     fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory,
@@ -2191,10 +2150,10 @@ impl<'a> Durability<'a> {
             let Some(expected) = self.store.state_at(self.wal_base + applied) else {
                 continue;
             };
-            let want = chunk_digests(&expected, chunk_cells);
-            let have = chunk_digests(replicated.memory(r), chunk_cells);
+            let want = expected.cells().chunks(chunk_cells);
+            let have = replicated.memory(r).cells().chunks(chunk_cells);
             self.counters.chunks_verified += have.len() as u64;
-            let diverged = want.iter().zip(&have).filter(|(w, h)| w != h).count() as u64;
+            let diverged = want.zip(have).filter(|(w, h)| w != h).count() as u64;
             if diverged > 0 {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;
@@ -2245,12 +2204,7 @@ fn settle<M: QramModel>(
 }
 
 /// Fans replication catch-ups out for fleet epochs `(from_excl,
-/// to_incl]`, each through the fault plan's per-epoch fate. Under the
-/// durability tier replication is gated on commit-group syncs, so a
-/// single sync may acknowledge — and here schedule — a whole group of
-/// epochs at once; the caller advances its `repl_scheduled` watermark
-/// to `to_incl` afterwards so rollbacks and re-appends never fan the
-/// same epoch out twice.
+/// to_incl]`, each through the fault plan's per-epoch fate.
 fn schedule_replication(
     events: &mut EventQueue<Event>,
     plan: &FaultPlan,

@@ -53,8 +53,9 @@
 //!   write stream with a crash-consistent `qram-core` store (CRC-framed
 //!   write-ahead log + atomic checkpoints): writes are logged before
 //!   replication fans out, restarted replicas replay from disk instead
-//!   of the in-memory log, and an anti-entropy scrubber audits replica
-//!   digests against the durable chain, repairing silent divergence
+//!   of the in-memory log, and an anti-entropy scrubber compares each
+//!   chunk of replica memory against the durable chain, repairing silent
+//!   divergence
 //!   ([`Fault::TornWrite`], [`Fault::DiskCorrupt`]) and reporting it in
 //!   the report's [`IntegrityCounters`](qram_metrics::IntegrityCounters).
 

@@ -3,7 +3,8 @@
 //! scrubber. The headline properties:
 //!
 //! * A replica whose memory silently diverges ([`Fault::DiskCorrupt`])
-//!   is driven back to digest equality with the durable chain, and the
+//!   is driven back to equality with the durable chain, chunk by chunk,
+//!   and the
 //!   repair shows up in the report's [`IntegrityCounters`]. Without a
 //!   scrubber the corruption is *served*.
 //! * A lying disk ([`Fault::TornWrite`]) is caught by the scrub's WAL
@@ -78,7 +79,7 @@ fn corruption_run(config: &FaultConfig) -> fat_tree_qram::serve::FleetReport {
 #[test]
 fn without_a_scrubber_silent_corruption_is_served() {
     // The control arm: the disk fault activates the durability tier, but
-    // no scrub ever compares digests, so the flipped bit reaches the
+    // no scrub ever compares chunks, so the flipped bit reaches the
     // query and the ledger shows no repair.
     let report = corruption_run(&FaultConfig::default());
     assert_eq!(report.completed().len(), 1);
@@ -94,7 +95,7 @@ fn without_a_scrubber_silent_corruption_is_served() {
 
 #[test]
 fn the_scrubber_repairs_divergence_back_to_digest_equality() {
-    // The treatment arm: same fault, scrubbing on. The digest comparison
+    // The treatment arm: same fault, scrubbing on. Comparing each chunk
     // against the durable chain localizes the divergence, the replica is
     // reset to the chain's image, and the served read is clean again.
     let report = corruption_run(&scrub_config(75.0));
@@ -106,10 +107,78 @@ fn the_scrubber_repairs_divergence_back_to_digest_equality() {
     );
     let integrity = report.integrity();
     assert!(integrity.scrub_cycles >= 1, "{integrity}");
-    assert!(integrity.chunks_verified >= 4, "{integrity}");
+    assert_eq!(
+        integrity.chunks_verified,
+        integrity.scrub_cycles * 4,
+        "every cycle compares all four 16-cell chunks: {integrity}"
+    );
     assert_eq!(integrity.mismatches, 1, "one 16-cell chunk diverged");
     assert_eq!(integrity.repairs, 1, "{integrity}");
     assert!(!integrity.clean());
+}
+
+#[test]
+fn the_scrubber_counts_each_diverged_chunk_including_a_short_last_one() {
+    // 64 cells in 24-cell chunks are 24 + 24 + 16. Flips in the first
+    // chunk (cell 5) and the short last one (cell 63) land before the
+    // first scrub: that cycle counts two diverged chunks and resets the
+    // replica once, and both cells read clean afterwards.
+    let mut fleet = fifo_fleet(1, 2);
+    let plan = FaultPlan::none()
+        .with(Fault::DiskCorrupt {
+            replica: 0,
+            at: Layers::new(50.0),
+            cell: PROBE_CELL,
+        })
+        .with(Fault::DiskCorrupt {
+            replica: 0,
+            at: Layers::new(55.0),
+            cell: 63,
+        });
+    let config = FaultConfig {
+        scrub_interval: Some(Layers::new(75.0)),
+        scrub_chunk_cells: 24,
+        ..FaultConfig::default()
+    };
+    let requests = vec![request(0, 100.0, PROBE_CELL), request(1, 101.0, 63)];
+    let report = fleet
+        .serve_with_faults(&checkerboard(64), requests, Vec::new(), &plan, &config)
+        .unwrap();
+    assert_eq!(report.completed().len(), 2);
+    // checkerboard(64)[63] = (63·5 + 1) % 2 = 0, like the probe cell.
+    for (at, query) in report.completed().iter().enumerate() {
+        let cell = if query.id == 0 { PROBE_CELL } else { 63 };
+        assert_eq!(
+            report.outcomes()[at].data_for(cell),
+            Some(0),
+            "cell {cell} reads clean after the repair"
+        );
+    }
+    let integrity = report.integrity();
+    assert!(integrity.scrub_cycles >= 1, "{integrity}");
+    assert_eq!(
+        integrity.chunks_verified,
+        integrity.scrub_cycles * 3,
+        "every cycle compares 24 + 24 + 16 cells: {integrity}"
+    );
+    assert_eq!(integrity.mismatches, 2, "first and last chunk: {integrity}");
+    assert_eq!(integrity.repairs, 1, "one reset repairs both: {integrity}");
+}
+
+#[test]
+#[should_panic(expected = "scrub chunks must hold at least one cell")]
+fn a_zero_cell_scrub_chunk_is_rejected_at_run_start() {
+    let config = FaultConfig {
+        scrub_chunk_cells: 0,
+        ..scrub_config(75.0)
+    };
+    let _ = fifo_fleet(1, 2).serve_with_faults(
+        &checkerboard(64),
+        vec![request(0, 10.0, 1)],
+        Vec::new(),
+        &FaultPlan::none(),
+        &config,
+    );
 }
 
 #[test]
