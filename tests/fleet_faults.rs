@@ -5,13 +5,14 @@
 //! outcomes — to the pre-fault-injection serving loop kept as
 //! `serve_reference`.
 
+use fat_tree_qram::core::store::{CheckpointPolicy, DurableFleet, GroupCommitPolicy, SimDir};
 use fat_tree_qram::core::{FatTreeQram, ShardedQram};
 use fat_tree_qram::metrics::{Capacity, Layers, TimingModel};
 use fat_tree_qram::qsim::branch::{AddressState, ClassicalMemory};
 use fat_tree_qram::sched::{FifoAdmission, QuotaAdmission, RetryPolicy, SloClass, TenantId};
 use fat_tree_qram::serve::{
-    BrownoutConfig, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan, FleetConfig,
-    FleetRequest, FleetWrite, QramFleet, ShedReason,
+    AdaptiveGroupCommit, BrownoutConfig, ConsistentHashPlacement, Fault, FaultConfig, FaultPlan,
+    FleetConfig, FleetRequest, FleetWrite, QramFleet, ShedReason,
 };
 use proptest::prelude::*;
 
@@ -482,4 +483,325 @@ fn a_stalled_shard_freezes_strict_fifo_dispatch_until_thawed() {
             .all(|c| c.start >= Layers::new(600.0)),
         "nothing dispatches while the head shard is frozen"
     );
+}
+
+/// FNV-1a 64 over a byte string. Fixed here rather than borrowed from
+/// `std`: `DefaultHasher` output may change between Rust releases, and
+/// these pins must not.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Where a pinned scenario's durable chain lives.
+#[derive(Clone, Copy)]
+enum Chain {
+    /// `serve_with_faults`: an ephemeral chain, if the run needs one.
+    Ephemeral,
+    /// `serve_durable` under group commit plus the adaptive controller.
+    AdaptiveGroups,
+    /// `serve_durable` over a store that chains delta checkpoints.
+    Deltas,
+}
+
+/// One pinned chaos run: a seeded fault plan (plus any hand-added
+/// faults) over a fixed multi-tenant workload.
+struct Scenario {
+    name: &'static str,
+    replicas: usize,
+    seed: u64,
+    extra: Vec<Fault>,
+    /// Arrivals at t = 0, ahead of the seeded trickle.
+    burst: usize,
+    /// Spacing of the ten writes.
+    write_gap: f64,
+    queue_capacity: Option<usize>,
+    hedge: bool,
+    deadline: bool,
+    brownout: bool,
+    scrub: bool,
+    chain: Chain,
+}
+
+impl Scenario {
+    fn new(name: &'static str, replicas: usize, seed: u64) -> Self {
+        Scenario {
+            name,
+            replicas,
+            seed,
+            extra: Vec::new(),
+            burst: 24,
+            write_gap: 40.0,
+            queue_capacity: None,
+            hedge: false,
+            deadline: false,
+            brownout: false,
+            scrub: false,
+            chain: Chain::Ephemeral,
+        }
+    }
+
+    /// Runs the scenario and returns its report.
+    fn run(&self) -> fat_tree_qram::serve::FleetReport {
+        // Tenants: 0 Interactive (the hedge-eligible class), 1 Batch,
+        // 2 Standard. A burst at t = 0 loads the fleet, then three
+        // interleaved trickles keep it busy past the fault horizon.
+        let mut requests: Vec<FleetRequest> = (0..self.burst)
+            .map(|i| request(i, (i % 3) as u32, 0.0, (i * 7) as u64))
+            .collect();
+        let mut state = self.seed;
+        let mut t = 0.0;
+        for i in self.burst..self.burst + 48 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            t += ((state >> 33) % 48) as f64 / 4.0;
+            requests.push(request(i, (i % 3) as u32, t, state >> 40));
+        }
+        let writes: Vec<FleetWrite> = (0..10u64)
+            .map(|k| FleetWrite {
+                at: Layers::new(15.0 + self.write_gap * k as f64),
+                origin: k as usize % self.replicas,
+                address: (k * 13) % 64,
+                value: k % 2,
+            })
+            .collect();
+        let mut plan = FaultPlan::from_seed(self.seed, self.replicas, 2, Layers::new(t + 200.0));
+        for &fault in &self.extra {
+            plan = plan.with(fault);
+        }
+
+        let mut policy = QuotaAdmission::new(FifoAdmission)
+            .with_slo(TenantId(1), SloClass::Batch)
+            .with_slo(TenantId(2), SloClass::Standard);
+        if self.deadline {
+            policy = policy
+                .with_deadline(TenantId(1), Layers::new(90.0))
+                .with_deadline(TenantId(2), Layers::new(160.0));
+        }
+        let mut fleet = QramFleet::new(
+            ShardedQram::fat_tree(Capacity::new(64).unwrap(), 2),
+            self.replicas,
+            TimingModel::paper_default(),
+            policy,
+            ConsistentHashPlacement,
+            FleetConfig {
+                queue_capacity: self.queue_capacity,
+                replication_lag: Layers::new(30.0),
+            },
+        );
+        let mut config = FaultConfig {
+            hedge_delay: self.hedge.then(|| Layers::new(20.0)),
+            monitor_interval: Layers::new(32.0),
+            brownout: self.brownout.then(BrownoutConfig::default),
+            scrub_interval: self.scrub.then(|| Layers::new(48.0)),
+            scrub_chunk_cells: 16,
+            ..FaultConfig::default()
+        };
+        let memory = checkerboard(64);
+        let policy = match self.chain {
+            Chain::Ephemeral => {
+                return fleet
+                    .serve_with_faults(&memory, requests, writes, &plan, &config)
+                    .unwrap();
+            }
+            Chain::AdaptiveGroups => {
+                config.group_commit = GroupCommitPolicy::group(2, 10.0);
+                config.adaptive_group_commit = Some(AdaptiveGroupCommit {
+                    min_records: 1,
+                    max_records: 8,
+                });
+                CheckpointPolicy::never()
+            }
+            Chain::Deltas => CheckpointPolicy::deltas(2, 2),
+        };
+        let mut store =
+            DurableFleet::create_with(Box::new(SimDir::new()), &memory, policy).unwrap();
+        fleet
+            .serve_durable(&memory, requests, writes, &plan, &config, &mut store)
+            .unwrap()
+    }
+}
+
+/// The fingerprint of a report: every field a chaos run decides.
+fn fingerprint(report: &fat_tree_qram::serve::FleetReport) -> u64 {
+    fnv1a(
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            report.completed(),
+            report.outcomes(),
+            report.shed(),
+            report.availability(),
+            report.integrity(),
+            report.per_replica_dispatches(),
+        )
+        .as_bytes(),
+    )
+}
+
+/// Exact reports under faults, not only invariants: twelve fixed chaos
+/// runs across R ∈ {1, 2, 4}, hedging, deadlines, brownout, scrubbing,
+/// group commit and delta checkpoints, each pinned by a hash of its
+/// whole report. Together the runs drive every availability counter and
+/// the integrity repairs, mismatches and torn-tail truncations above
+/// zero, so every event the serving loop handles is in some pin. A
+/// change to any schedule, outcome, shed, or ledger entry moves a hash.
+#[test]
+fn chaos_reports_match_their_pinned_fingerprints() {
+    let crash_and_recover = |replica: usize, at: f64, back: f64| {
+        [
+            Fault::Crash {
+                replica,
+                at: Layers::new(at),
+            },
+            Fault::Recover {
+                replica,
+                at: Layers::new(back),
+            },
+        ]
+    };
+    let slow = |replica: usize| Fault::SlowReplica {
+        replica,
+        from: Layers::ZERO,
+        until: Layers::new(400.0),
+        factor: 6.0,
+    };
+    let disk = |replica: usize, at: f64, cell: u64| Fault::DiskCorrupt {
+        replica,
+        at: Layers::new(at),
+        cell,
+    };
+    let scenarios = vec![
+        Scenario {
+            extra: vec![Fault::CorruptOutcome {
+                replica: 0,
+                dispatch: 3,
+            }],
+            ..Scenario::new("r1_chaos", 1, 11)
+        },
+        Scenario {
+            extra: crash_and_recover(1, 120.0, 300.0).to_vec(),
+            queue_capacity: Some(6),
+            ..Scenario::new("r2_crash_recover", 2, 12)
+        },
+        Scenario {
+            extra: crash_and_recover(3, 90.0, 260.0).to_vec(),
+            ..Scenario::new("r4_crash_recover", 4, 13)
+        },
+        Scenario {
+            extra: vec![slow(0)],
+            hedge: true,
+            ..Scenario::new("r2_hedge", 2, 14)
+        },
+        Scenario {
+            extra: vec![slow(1)],
+            hedge: true,
+            deadline: true,
+            ..Scenario::new("r4_hedge_deadline", 4, 15)
+        },
+        Scenario {
+            deadline: true,
+            ..Scenario::new("r1_deadline", 1, 16)
+        },
+        Scenario {
+            brownout: true,
+            burst: 60,
+            queue_capacity: Some(8),
+            ..Scenario::new("r2_brownout", 2, 17)
+        },
+        Scenario {
+            brownout: true,
+            deadline: true,
+            burst: 200,
+            ..Scenario::new("r4_brownout_deadline", 4, 18)
+        },
+        Scenario {
+            extra: vec![disk(1, 140.0, 21), Fault::TornWrite { epoch: 2 }],
+            scrub: true,
+            ..Scenario::new("r2_scrub", 2, 19)
+        },
+        Scenario {
+            extra: vec![disk(2, 200.0, 40), slow(3)],
+            scrub: true,
+            hedge: true,
+            ..Scenario::new("r4_scrub_hedge", 4, 20)
+        },
+        Scenario {
+            extra: vec![Fault::TornWrite { epoch: 3 }],
+            write_gap: 6.0,
+            scrub: true,
+            chain: Chain::AdaptiveGroups,
+            ..Scenario::new("r2_adaptive_groups", 2, 21)
+        },
+        Scenario {
+            extra: [
+                crash_and_recover(2, 150.0, 330.0).as_slice(),
+                &[disk(0, 100.0, 7)],
+            ]
+            .concat(),
+            scrub: true,
+            chain: Chain::Deltas,
+            ..Scenario::new("r4_deltas", 4, 22)
+        },
+    ];
+    // Generated by this test on the serving loop before it was split
+    // into per-event handlers; the split must reproduce them bit for bit.
+    const PINS: [u64; 12] = [
+        0xfd139a2300b72c08,
+        0x75429dc6a18b3c25,
+        0x2a1ca9313f569e75,
+        0xacff135c11e3aaf6,
+        0x583b0490314112d3,
+        0xe6c8b7a31fb1774b,
+        0x60a6e86d450262b1,
+        0x6bfd9d838fcf624e,
+        0x535a4a3edc56bd20,
+        0xfd7ce974aaee8ddd,
+        0xc23c7515cc4c7ab7,
+        0xbcabe1179ec7c6ac,
+    ];
+
+    let mut seen = fat_tree_qram::metrics::AvailabilityCounters::default();
+    let mut repairs = 0;
+    let mut mismatches = 0;
+    let mut torn = 0;
+    let mut got = Vec::new();
+    for scenario in &scenarios {
+        let report = scenario.run();
+        let a = report.availability();
+        seen.retries += a.retries;
+        seen.hedges += a.hedges;
+        seen.hedge_wins += a.hedge_wins;
+        seen.failovers += a.failovers;
+        seen.corruptions_detected += a.corruptions_detected;
+        seen.crashes += a.crashes;
+        seen.recoveries += a.recoveries;
+        seen.deadline_expirations += a.deadline_expirations;
+        seen.downtime += a.downtime;
+        let i = report.integrity();
+        repairs += i.repairs;
+        mismatches += i.mismatches;
+        torn += i.torn_tails_truncated;
+        got.push((scenario.name, fingerprint(&report)));
+    }
+    // Coverage: every counter moved in at least one run.
+    assert!(
+        seen.retries > 0
+            && seen.hedges > 0
+            && seen.hedge_wins > 0
+            && seen.failovers > 0
+            && seen.corruptions_detected > 0
+            && seen.crashes > 0
+            && seen.recoveries > 0
+            && seen.deadline_expirations > 0
+            && seen.downtime > Layers::ZERO,
+        "some availability counter never moved: {seen}"
+    );
+    assert!(
+        repairs > 0 && mismatches > 0 && torn > 0,
+        "repairs {repairs}, mismatches {mismatches}, torn tails {torn}"
+    );
+    let pinned: Vec<(&str, u64)> = scenarios.iter().map(|s| s.name).zip(PINS).collect();
+    assert_eq!(got, pinned, "a chaos report changed");
 }
