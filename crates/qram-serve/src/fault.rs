@@ -18,8 +18,8 @@
 //! * [`ReplicaHealth`] — the per-replica health state machine the fleet's
 //!   monitor drives (`Healthy → Suspect → Down → Recovering → Healthy`).
 //! * [`FaultConfig`] — the tolerance knobs: retry backoff budget, hedge
-//!   delay, monitor cadence, latency assertion margin, recovery replay
-//!   speed, and the optional [`BrownoutConfig`] degradation thresholds.
+//!   delay, monitor cadence, scrubbing, group commit, and the optional
+//!   [`BrownoutConfig`] degradation thresholds.
 //! * [`BrownoutController`] — hysteresis over fleet occupancy that sheds
 //!   whole SLO classes, cheapest first (`Batch`, then `Standard`, then
 //!   `Interactive`), instead of failing everyone a little.
@@ -480,8 +480,15 @@ impl BrownoutController {
     }
 }
 
+/// A completion over `LATENCY_MARGIN ×` nominal latency makes a replica
+/// [`ReplicaHealth::Suspect`].
+pub(crate) const LATENCY_MARGIN: f64 = 4.0;
+
+/// Layers a recovering replica replays per lagged log entry.
+pub(crate) const REPLAY_PER_ENTRY: f64 = 1.0;
+
 /// Fault-tolerance configuration of the serving loop: how aggressively
-/// to detect, retry, hedge, replay, and degrade. The default is fully
+/// to detect, retry, hedge, and degrade. The default is fully
 /// passive (no hedging, no brownout) and, combined with an empty
 /// [`FaultPlan`], schedules no monitor events at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -496,17 +503,6 @@ pub struct FaultConfig {
     /// Cadence of the health monitor: heartbeat misses are counted and
     /// brownout occupancy sampled once per tick.
     pub monitor_interval: Layers,
-    /// A completion whose service time exceeds `latency × margin` marks
-    /// its replica [`ReplicaHealth::Suspect`].
-    pub latency_margin: f64,
-    /// Replication-log entries a recovering replica replays per
-    /// [`ReplicatedMemory::catch_up_by`] step.
-    ///
-    /// [`ReplicatedMemory::catch_up_by`]: qram_core::ReplicatedMemory::catch_up_by
-    pub replay_chunk: u64,
-    /// Virtual time a recovering replica spends per lagged log entry
-    /// before rejoining rotation.
-    pub replay_per_entry: Layers,
     /// Enables the brownout controller with the given thresholds.
     pub brownout: Option<BrownoutConfig>,
     /// Cadence of the anti-entropy scrubber: each tick audits the
@@ -542,9 +538,6 @@ impl Default for FaultConfig {
             retry: RetryPolicy::default(),
             hedge_delay: None,
             monitor_interval: Layers::new(64.0),
-            latency_margin: 4.0,
-            replay_chunk: 8,
-            replay_per_entry: Layers::new(1.0),
             brownout: None,
             scrub_interval: None,
             scrub_chunk_cells: 64,

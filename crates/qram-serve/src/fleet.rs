@@ -65,6 +65,11 @@
 //! bit-identical to [`QramFleet::serve`]'s fault-free loop (pinned by
 //! `tests/fleet_faults.rs` against [`QramFleet::serve_reference`]).
 //!
+//! Every entry point runs one loop: a run's reactor takes the earlier of
+//! the next arrival and the next event and hands it to the one handler
+//! for its kind (arrival, write, completion, crash, monitor tick, scrub
+//! tick, …), which ends by pumping any dispatcher it unblocked.
+//!
 //! [`SloClass`]: qram_sched::SloClass
 //! [`OnlineFifoScheduler`]: qram_sched::OnlineFifoScheduler
 //! [`RetryPolicy`]: qram_sched::RetryPolicy
@@ -79,14 +84,13 @@ use qram_metrics::{
     TimingModel,
 };
 use qram_sched::{
-    AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, RetryPolicy, Schedule, SloClass,
-    TenantId,
+    AdmissionPolicy, FifoAdmission, QramServer, QueryRequest, Schedule, SloClass, TenantId,
 };
 use qsim::branch::{AddressState, ClassicalMemory, QueryOutcome};
 
 use crate::fault::{
-    corrupt_outcome, parity_bit, BrownoutController, Fault, FaultConfig, FaultPlan, ReplicaHealth,
-    ReplicationFate,
+    corrupt_outcome, parity_bit, AdaptiveGroupCommit, BrownoutController, Fault, FaultConfig,
+    FaultPlan, ReplicaHealth, ReplicationFate, LATENCY_MARGIN, REPLAY_PER_ENTRY,
 };
 use crate::reactor::EventQueue;
 use crate::replica::{Replica, ReplicaEvent};
@@ -679,6 +683,8 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     ///
     /// Returns an error if query execution fails.
     #[doc(hidden)]
+    // The frozen oracle stays one verbatim function; it is not refactored.
+    #[allow(clippy::too_many_lines)]
     pub fn serve_reference(
         &mut self,
         memory: &ClassicalMemory,
@@ -714,7 +720,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
             .collect();
         // Per-dispatch annotations, indexed [replica][dispatch index].
         let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
-        let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
+        let mut stale_at_dispatch: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
 
         let mut arrivals: Vec<FleetRequest> = requests
             .into_iter()
@@ -857,7 +863,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                             replica,
                             shard: record.shard,
                             epoch: dispatch_epochs[replica][index],
-                            stale: dispatch_stale[replica][index],
+                            stale: stale_at_dispatch[replica][index],
                             attempts: 1,
                         };
                         stale_served += u64::from(query.stale);
@@ -909,7 +915,7 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
                 // replica observes and whether that version is stale.
                 for _ in range {
                     dispatch_epochs[target].push(replicated.applied_epoch(target));
-                    dispatch_stale[target].push(replicated.is_stale(target));
+                    stale_at_dispatch[target].push(replicated.is_stale(target));
                 }
             }
         }
@@ -978,7 +984,8 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
     /// per-replica health state machine, crash failover, capped
     /// exponential-backoff retries, optional hedged dispatch for
     /// Interactive tenants, per-tenant deadlines, and brownout shedding
-    /// (see the module docs). Every admitted query ends exactly once in
+    /// (see the module docs), each in the handler of the event kind that
+    /// drives it. Every admitted query ends exactly once in
     /// [`FleetReport::completed`] or [`FleetReport::shed`] — faults lose
     /// dispatch *attempts*, never queries.
     ///
@@ -1007,20 +1014,15 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         plan: &FaultPlan,
         fault_config: &FaultConfig,
     ) -> Result<FleetReport, ExecError> {
-        match self.serve_faulty(memory, requests, writes, plan, fault_config, None) {
-            Ok(report) => Ok(report),
-            Err(DurableServeError::Exec(e)) => Err(e),
-            // Without an external store the durability tier (when disk
-            // faults or scrubbing activate it) runs on an in-memory
-            // `SimDir`, which cannot fail I/O, and appends are contiguous
-            // by construction.
-            Err(DurableServeError::Store(e)) => {
-                unreachable!("the ephemeral in-memory store cannot fail: {e}")
-            }
-            Err(DurableServeError::BaseMismatch) => {
-                unreachable!("the ephemeral store is created from the run's memory")
-            }
-        }
+        // Without an external store the durability tier (when disk faults
+        // or scrubbing activate it) runs on an in-memory `SimDir`, which
+        // cannot fail I/O, created from the run's memory; appends are
+        // contiguous by construction.
+        self.serve_faulty(memory, requests, writes, plan, fault_config, None)
+            .map_err(|e| match e {
+                DurableServeError::Exec(e) => e,
+                other => unreachable!("the ephemeral in-memory store cannot fail: {other}"),
+            })
     }
 
     /// [`QramFleet::serve_with_faults`] backed by a crash-consistent
@@ -1062,864 +1064,33 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         self.serve_faulty(memory, requests, writes, plan, fault_config, Some(store))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn serve_faulty(
         &mut self,
         memory: &ClassicalMemory,
         requests: impl IntoIterator<Item = FleetRequest>,
         writes: impl IntoIterator<Item = FleetWrite>,
         plan: &FaultPlan,
-        fault_config: &FaultConfig,
+        config: &FaultConfig,
         store: Option<&mut DurableFleet>,
     ) -> Result<FleetReport, DurableServeError> {
-        let num_replicas = self.replicas;
-        let num_shards = self.backend.num_shards() as usize;
-        let server = self.equivalent_server();
-        let aggregate_cap = self
-            .policy
-            .in_flight_cap(&server)
-            .clamp(1, server.parallelism());
-        let latency = server.latency();
-        let address_width = self.backend.capacity().address_width();
-        let mut replicas: Vec<Replica> = (0..num_replicas)
-            .map(|_| {
-                Replica::new(
-                    num_shards,
-                    self.backend.shard_parallelism(),
-                    server.interval(),
-                    latency,
-                    aggregate_cap,
-                    self.config.queue_capacity,
-                )
-            })
-            .collect();
-
-        let qram = &self.backend;
-        let mut replicated = ReplicatedMemory::new(memory.clone(), num_replicas);
-        // Outcomes of each replica's dispatches executed so far — a
-        // prefix of its dispatch order, extended by `settle` before every
-        // change to that replica's memory.
-        let mut executed: Vec<Vec<QueryOutcome>> = vec![Vec::new(); num_replicas];
-        let mut dispatch_epochs: Vec<Vec<u64>> = vec![Vec::new(); num_replicas];
-        let mut dispatch_stale: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
-        // Whether each dispatch's completion has been consumed (or
-        // invalidated by a crash); `Replica::tag_of` names its query.
-        let mut handled: Vec<Vec<bool>> = vec![Vec::new(); num_replicas];
-
-        let mut arrivals: Vec<FleetRequest> = requests
-            .into_iter()
-            .inspect(|r| {
-                assert_eq!(
-                    r.address.address_width(),
-                    address_width,
-                    "request address width must match QRAM capacity"
-                );
-            })
-            .collect();
-        arrivals.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .partial_cmp(&b.arrival.get())
-                .expect("event times are finite")
-        });
-        let total_requests = arrivals.len();
-        let mut arrivals = arrivals.into_iter().peekable();
-
-        let mut events: EventQueue<Event> = EventQueue::new();
-        for write in writes {
-            assert!(
-                write.origin < num_replicas,
-                "write origin replica {} out of range (R = {num_replicas})",
-                write.origin
-            );
-            events.push(write.at, Event::Write(write));
-        }
-
-        // Fault-tolerance state. Nothing below schedules an event unless
-        // the plan is non-empty or a brownout controller is configured —
-        // the empty plan keeps the reactor's event sequence (and so its
-        // FIFO tie-breaking) identical to the fault-free loop.
-        let retry = &fault_config.retry;
-        let mut brownout: Option<BrownoutController> =
-            fault_config.brownout.map(BrownoutController::new);
-        let monitoring =
-            !plan.is_empty() || brownout.is_some() || fault_config.adaptive_group_commit.is_some();
-        let has_slow = plan.has_slow_faults();
-        let keep_address = !plan.is_empty() || fault_config.hedge_delay.is_some();
-        let replica_slots = aggregate_cap as usize
-            + self
-                .config
-                .queue_capacity
-                .unwrap_or(4 * aggregate_cap as usize);
-        let mut states: Vec<QueryState> = Vec::with_capacity(total_requests);
-        let mut health = vec![ReplicaHealth::Healthy; num_replicas];
-        let mut alive = vec![true; num_replicas];
-        let mut misses = vec![0u32; num_replicas];
-        let mut down_since: Vec<Option<Layers>> = vec![None; num_replicas];
-        let mut rejoin_at: Vec<Option<f64>> = vec![None; num_replicas];
-        // Queries stranded on a crashed replica, re-dispatched when the
-        // detector declares it Down (or it recovers, whichever first).
-        let mut pending_failover: Vec<Vec<usize>> = vec![Vec::new(); num_replicas];
-        let mut counters = AvailabilityCounters::default();
-        let mut completed_dispatch: Vec<(usize, usize)> = Vec::with_capacity(total_requests);
-        let mut corrupted_served: Vec<(usize, usize)> = Vec::new();
-        let mut open = 0usize;
-
-        // The durability tier. An external store (serve_durable) always
-        // activates it; otherwise disk faults or a scrub interval spin up
-        // an ephemeral in-memory store so the faults have a durable chain
-        // to lie against and be audited by. Like monitoring, a run that
-        // activates none of this schedules no events and touches no disk,
-        // keeping the empty-plan reactor bit-identical to the fault-free
-        // loop.
-        let total_cells = memory.cells().len() as u64;
-        // A one-replica fleet has no peer to fan writes out to.
-        let replication_lag = (num_replicas > 1).then_some(self.config.replication_lag);
-        let mut ephemeral: Option<DurableFleet> = None;
-        let mut durability: Option<Durability<'_>> = match store {
-            Some(s) => {
-                s.set_group_commit(fault_config.group_commit);
-                Some(Durability::new(s, replication_lag))
-            }
-            None if plan.has_disk_faults()
-                || fault_config.scrub_interval.is_some()
-                || fault_config.adaptive_group_commit.is_some() =>
-            {
-                let fresh = DurableFleet::create_with(
-                    Box::new(SimDir::new()),
-                    memory,
-                    CheckpointPolicy::never(),
-                )?
-                .with_group_commit(fault_config.group_commit);
-                Some(Durability::new(ephemeral.insert(fresh), replication_lag))
-            }
-            None => None,
-        };
-
-        if monitoring {
-            assert!(
-                fault_config.monitor_interval.get() > 0.0,
-                "monitoring needs a positive monitor interval"
-            );
-            for fault in plan.faults() {
-                match *fault {
-                    Fault::Crash { replica, at } => {
-                        assert!(replica < num_replicas, "crash names replica {replica}");
-                        events.push(at, Event::Crash { replica });
-                    }
-                    Fault::Recover { replica, at } => {
-                        assert!(replica < num_replicas, "recover names replica {replica}");
-                        events.push(at, Event::Recover { replica });
-                    }
-                    Fault::StallShard {
-                        replica,
-                        shard,
-                        from,
-                        until,
-                    } => {
-                        assert!(replica < num_replicas, "stall names replica {replica}");
-                        assert!(shard < num_shards, "stall names shard {shard}");
-                        events.push(from, Event::StallStart { replica, shard });
-                        events.push(until, Event::StallEnd { replica, shard });
-                    }
-                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
-                        assert!(replica < num_replicas, "fault names replica {replica}");
-                    }
-                    Fault::DiskCorrupt { replica, at, cell } => {
-                        assert!(replica < num_replicas, "corruption names replica {replica}");
-                        events.push(at, Event::DiskCorrupt { replica, cell });
-                    }
-                    Fault::DropReplication { .. }
-                    | Fault::DelayReplication { .. }
-                    | Fault::TornWrite { .. } => {}
-                }
-            }
-            events.push(fault_config.monitor_interval, Event::MonitorTick);
-        }
-        if durability.is_some() {
-            if let Some(interval) = fault_config.scrub_interval {
-                assert!(
-                    interval.get() > 0.0,
-                    "scrubbing needs a positive scrub interval"
-                );
-                assert!(
-                    fault_config.scrub_chunk_cells > 0,
-                    "scrub chunks must hold at least one cell"
-                );
-                events.push(interval, Event::ScrubTick);
-            }
-        }
-
-        let mut completed: Vec<FleetQuery> = Vec::with_capacity(total_requests);
-        let mut shed: Vec<ShedRequest> = Vec::new();
-        let mut outstanding: BTreeMap<TenantId, u32> = BTreeMap::new();
-        let mut per_tenant: HistogramFamily<TenantId> = HistogramFamily::new();
-        let mut per_replica: HistogramFamily<usize> = HistogramFamily::new();
-        let mut stale_served = 0u64;
-
+        let mut ephemeral = None;
+        let durability = Durability::for_run(store, &mut ephemeral, memory, plan, config)?;
+        let mut run = FleetRun::new(self, memory, requests, writes, plan, config, durability);
+        // The reactor: the next arrival or the next event, whichever is
+        // earlier (arrivals first at ties), until both run dry.
         loop {
-            let arrival_is_next = match (arrivals.peek(), events.peek_time()) {
-                (Some(request), Some(next)) => request.arrival <= next,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let mut pump: Option<usize> = None;
-            let now;
-            if arrival_is_next {
-                let request = arrivals.next().expect("peeked arrival exists");
-                now = request.arrival;
-                let tenant = request.tenant;
-                if brownout
-                    .as_ref()
-                    .is_some_and(|controller| controller.sheds(self.policy.tenant_slo(tenant)))
-                {
-                    shed.push(ShedRequest {
-                        id: request.id,
-                        tenant,
-                        reason: ShedReason::Brownout,
-                    });
-                } else if self
-                    .policy
-                    .tenant_quota(tenant)
-                    .is_some_and(|quota| outstanding.get(&tenant).copied().unwrap_or(0) >= quota)
-                {
-                    shed.push(ShedRequest {
-                        id: request.id,
-                        tenant,
-                        reason: ShedReason::QuotaExceeded,
-                    });
-                } else {
-                    let loads = snapshot_loads(&replicas, &health);
-                    let target = self.placement.place(&request, &loads);
-                    assert!(
-                        target < num_replicas,
-                        "placement returned replica {target} of {num_replicas}"
-                    );
-                    let slo_bound = self
-                        .config
-                        .queue_capacity
-                        .map(|cap| self.policy.tenant_slo(tenant).queue_bound(cap));
-                    if !loads[target].routable() {
-                        shed.push(ShedRequest {
-                            id: request.id,
-                            tenant,
-                            reason: ShedReason::NoHealthyReplica,
-                        });
-                    } else if slo_bound.is_some_and(|bound| replicas[target].queued() >= bound) {
-                        let reason = if replicas[target].has_queue_room() {
-                            ShedReason::SloShed
-                        } else {
-                            ShedReason::QueueFull
-                        };
-                        shed.push(ShedRequest {
-                            id: request.id,
-                            tenant,
-                            reason,
-                        });
-                    } else {
-                        let qid = states.len();
-                        let deadline = self
-                            .policy
-                            .tenant_deadline(tenant)
-                            .map(|budget| request.arrival + budget);
-                        let address = keep_address.then(|| request.address.clone());
-                        let offered = replicas[target].offer(
-                            request.id,
-                            qid,
-                            tenant,
-                            request.arrival,
-                            deadline,
-                            request.address,
-                        );
-                        debug_assert!(offered, "the SLO bound is at most the queue bound");
-                        states.push(QueryState {
-                            id: request.id,
-                            tenant,
-                            arrival: request.arrival,
-                            deadline,
-                            address,
-                            attempts: 1,
-                            outstanding: 1,
-                            done: false,
-                            last_replica: target,
-                            hedged: false,
-                            hedge_replica: None,
-                        });
-                        *outstanding.entry(tenant).or_insert(0) += 1;
-                        open += 1;
-                        if let Some(delay) = fault_config.hedge_delay {
-                            if self.policy.tenant_slo(tenant) == SloClass::Interactive {
-                                events.push(request.arrival + delay, Event::HedgeCheck { qid });
-                            }
-                        }
-                        pump = Some(target);
-                    }
-                }
-            } else if let Some((at, event)) = events.pop() {
-                now = at;
-                match event {
-                    Event::Write(write) => {
-                        // A write addressed at a dead origin commits at
-                        // the first live replica instead: writes survive
-                        // crashes even when the client's affinity target
-                        // is down.
-                        let origin = if alive[write.origin] {
-                            write.origin
-                        } else {
-                            (0..num_replicas)
-                                .find(|&r| alive[r])
-                                .unwrap_or(write.origin)
-                        };
-                        settle(qram, &replicated, &replicas, &mut executed, origin)?;
-                        let epoch = replicated.write_at(origin, write.address, write.value);
-                        if let Some(d) = durability.as_mut() {
-                            // Log the write durably before replication
-                            // fans out: the commit-group sync is the
-                            // acknowledgment point (per-record policy
-                            // syncs right here). A planned torn write
-                            // arms the lying-disk hook — the append
-                            // reports success, the platter keeps only a
-                            // partial record, and a later scrub's rescan
-                            // finds and repairs the damage.
-                            let w = ReplicatedWrite {
-                                epoch,
-                                origin,
-                                address: write.address,
-                                value: write.value,
-                            };
-                            let summary = d.append(&w, plan.tears(epoch))?;
-                            if summary.synced_records > 0 {
-                                // Ack-at-sync: replication (and with it
-                                // the stale-read watermark) only fans
-                                // out from synced epochs. The group just
-                                // landed, so the flush finds it empty.
-                                d.flush_and_replicate(&mut events, plan, now)?;
-                            } else if d.store.pending_records() == 1 {
-                                // This write opened a fresh commit
-                                // group: arm its flush deadline so a
-                                // lull in writes cannot hold the
-                                // acknowledgment hostage.
-                                let delay = d.store.group_commit().max_delay;
-                                if delay > 0.0 {
-                                    events.push(
-                                        now + Layers::new(delay),
-                                        Event::WalFlush { seq: d.syncs },
-                                    );
-                                }
-                            }
-                        } else if let Some(lag) = replication_lag {
-                            schedule_replication(&mut events, plan, lag, now, epoch - 1, epoch);
-                        }
-                    }
-                    Event::Replicate { epoch } => {
-                        // Dead replicas miss the catch-up; recovery replay
-                        // carries them past it before they rejoin.
-                        for r in (0..num_replicas).filter(|&r| alive[r]) {
-                            if replicated.applied_epoch(r) < epoch {
-                                settle(qram, &replicated, &replicas, &mut executed, r)?;
-                                replicated.catch_up_to(r, epoch);
-                            }
-                        }
-                    }
-                    Event::Completion { replica, index } => {
-                        if handled[replica][index] {
-                            // A crash already failed this dispatch over.
-                        } else {
-                            handled[replica][index] = true;
-                            let qid = replicas[replica].tag_of(index);
-                            let tenant = replicas[replica].tenant_of(index);
-                            let record = replicas[replica].complete(index, now);
-                            if monitoring
-                                && health[replica] == ReplicaHealth::Healthy
-                                && (record.finish - record.start).get()
-                                    > latency.get() * fault_config.latency_margin
-                            {
-                                // Completion-latency assertion: a replica
-                                // serving far over nominal is suspect.
-                                health[replica] = ReplicaHealth::Suspect;
-                            }
-                            if plan.corrupts(replica, index) {
-                                corrupted_served.push((replica, index));
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            } else if states[qid].done {
-                                // The hedge's other copy already won.
-                                states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-                            } else {
-                                let state = &mut states[qid];
-                                state.done = true;
-                                state.outstanding = state.outstanding.saturating_sub(1);
-                                if state.hedge_replica == Some(replica) {
-                                    counters.hedge_wins += 1;
-                                }
-                                let query = FleetQuery {
-                                    id: state.id,
-                                    tenant,
-                                    arrival: state.arrival,
-                                    start: record.start,
-                                    finish: record.finish,
-                                    replica,
-                                    shard: record.shard,
-                                    epoch: dispatch_epochs[replica][index],
-                                    stale: dispatch_stale[replica][index],
-                                    attempts: state.attempts,
-                                };
-                                stale_served += u64::from(query.stale);
-                                per_tenant.record(tenant, query.response_latency());
-                                per_replica.record(replica, query.response_latency());
-                                *outstanding.get_mut(&tenant).expect("tenant accepted") -= 1;
-                                open -= 1;
-                                completed.push(query);
-                                completed_dispatch.push((replica, index));
-                            }
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::Poll { replica } => {
-                        if alive[replica] {
-                            replicas[replica].ack_poll(now);
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::Crash { replica } => {
-                        if alive[replica] {
-                            alive[replica] = false;
-                            counters.crashes += 1;
-                            down_since[replica] = Some(now);
-                            rejoin_at[replica] = None;
-                            for qid in replicas[replica].fail() {
-                                strand(qid, &mut states, &mut pending_failover[replica]);
-                            }
-                            for index in 0..handled[replica].len() {
-                                if !handled[replica][index] {
-                                    handled[replica][index] = true;
-                                    strand(
-                                        replicas[replica].tag_of(index),
-                                        &mut states,
-                                        &mut pending_failover[replica],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Event::Recover { replica } => {
-                        if !alive[replica] {
-                            alive[replica] = true;
-                            health[replica] = ReplicaHealth::Recovering;
-                            misses[replica] = 0;
-                            for qid in std::mem::take(&mut pending_failover[replica]) {
-                                counters.failovers += 1;
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            }
-                            let replay = Layers::new(
-                                fault_config.replay_per_entry.get()
-                                    * replicated.lag(replica) as f64,
-                            );
-                            rejoin_at[replica] = Some((now + replay).get());
-                            events.push(now + replay, Event::RejoinDone { replica });
-                        }
-                    }
-                    Event::RejoinDone { replica } => {
-                        // The token guards against a crash during replay:
-                        // a re-crash clears it and this firing is stale.
-                        if alive[replica] && rejoin_at[replica] == Some(now.get()) {
-                            rejoin_at[replica] = None;
-                            settle(qram, &replicated, &replicas, &mut executed, replica)?;
-                            if let Some(d) = durability.as_mut() {
-                                // Land the open commit group first so
-                                // the rejoin audit sees the full synced
-                                // prefix, and fan out replication for
-                                // whatever that sync acknowledged.
-                                d.flush_and_replicate(&mut events, plan, now)?;
-                                // Replay from disk, not the in-memory
-                                // log: audit the WAL, then reset the
-                                // restarted replica to the durable
-                                // chain's image at its watermark.
-                                d.rejoin_from_disk(replica, &mut replicated)?;
-                            }
-                            // Drain whatever the durable chain did not
-                            // cover from the in-memory log (everything,
-                            // when no durability tier is active; chunk 0
-                            // means "all in one call").
-                            let chunk = fault_config.replay_chunk;
-                            while replicated.catch_up_by(replica, chunk) > 0 {}
-                            debug_assert_eq!(
-                                replicated.lag(replica),
-                                0,
-                                "a rejoined replica is fully caught up"
-                            );
-                            health[replica] = ReplicaHealth::Healthy;
-                            counters.recoveries += 1;
-                            if let Some(since) = down_since[replica].take() {
-                                counters.record_downtime(now - since);
-                            }
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::StallStart { replica, shard } => {
-                        replicas[replica].set_shard_stall(shard, true);
-                    }
-                    Event::StallEnd { replica, shard } => {
-                        replicas[replica].set_shard_stall(shard, false);
-                        if alive[replica] {
-                            pump = Some(replica);
-                        }
-                    }
-                    Event::MonitorTick => {
-                        for r in 0..num_replicas {
-                            if alive[r] {
-                                misses[r] = 0;
-                                if health[r] == ReplicaHealth::Suspect {
-                                    health[r] = ReplicaHealth::Healthy;
-                                }
-                            } else {
-                                misses[r] += 1;
-                                if misses[r] >= 2 && health[r] != ReplicaHealth::Down {
-                                    health[r] = ReplicaHealth::Down;
-                                    // Scoop queries offered between the
-                                    // crash and its detection, then fail
-                                    // everything stranded here over.
-                                    for qid in replicas[r].fail() {
-                                        strand(qid, &mut states, &mut pending_failover[r]);
-                                    }
-                                    for qid in std::mem::take(&mut pending_failover[r]) {
-                                        counters.failovers += 1;
-                                        lose_attempt(
-                                            qid,
-                                            now,
-                                            retry,
-                                            &mut states,
-                                            &mut events,
-                                            &mut shed,
-                                            &mut outstanding,
-                                            &mut counters,
-                                            &mut open,
-                                        );
-                                    }
-                                } else if misses[r] == 1 && health[r] != ReplicaHealth::Down {
-                                    health[r] = ReplicaHealth::Suspect;
-                                }
-                            }
-                        }
-                        if let Some(controller) = brownout.as_mut() {
-                            let routable: Vec<usize> = (0..num_replicas)
-                                .filter(|&r| health[r].routable())
-                                .collect();
-                            let occupancy = if routable.is_empty() {
-                                1.0
-                            } else {
-                                routable.iter().map(|&r| replicas[r].load()).sum::<usize>() as f64
-                                    / (routable.len() * replica_slots) as f64
-                            };
-                            controller.observe(occupancy);
-                        }
-                        if let (Some(bounds), Some(d)) =
-                            (fault_config.adaptive_group_commit, durability.as_mut())
-                        {
-                            // Observe the append rate over the tick,
-                            // adapt the batching knob, assert nothing:
-                            // the ack-at-sync contract is untouched
-                            // because only group *size* moves. Double
-                            // while the interval outran the group,
-                            // halve when it ran at most half full.
-                            let appends = d.counters.wal_appends - d.appends_at_tick;
-                            d.appends_at_tick = d.counters.wal_appends;
-                            let mut g = d.store.group_commit();
-                            let current = g.max_records;
-                            let next = if appends > current as u64 {
-                                current.saturating_mul(2).min(bounds.max_records)
-                            } else if appends <= (current as u64) / 2 {
-                                (current / 2).max(bounds.min_records)
-                            } else {
-                                current
-                            };
-                            if next != current {
-                                g.max_records = next.max(1);
-                                d.store.set_group_commit(g);
-                            }
-                        }
-                        if open > 0 || arrivals.peek().is_some() {
-                            events.push(now + fault_config.monitor_interval, Event::MonitorTick);
-                        }
-                    }
-                    Event::ScrubTick => {
-                        if let Some(d) = durability.as_mut() {
-                            // Land the open commit group (and schedule
-                            // replication for what it synced) before
-                            // auditing, so the disk and the in-memory
-                            // view describe the same prefix.
-                            d.flush_and_replicate(&mut events, plan, now)?;
-                            for r in (0..num_replicas).filter(|&r| alive[r]) {
-                                settle(qram, &replicated, &replicas, &mut executed, r)?;
-                            }
-                            d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
-                        }
-                        if let Some(interval) = fault_config.scrub_interval {
-                            if open > 0 || arrivals.peek().is_some() {
-                                events.push(now + interval, Event::ScrubTick);
-                            }
-                        }
-                    }
-                    Event::WalFlush { seq } => {
-                        if let Some(d) = durability.as_mut() {
-                            // Stale when a fuller group already synced
-                            // (seq moved on) or the group emptied.
-                            if d.syncs == seq && d.store.pending_records() > 0 {
-                                d.flush_and_replicate(&mut events, plan, now)?;
-                            }
-                        }
-                    }
-                    Event::DiskCorrupt { replica, cell } => {
-                        // Media corruption: one bit flips in the live
-                        // replica image, bypassing the replication log —
-                        // invisible to staleness tracking, caught only by
-                        // a scrub's chunk comparison. Dispatches settled
-                        // first read the clean cell; later ones read the
-                        // flipped bit until a scrub repairs the replica.
-                        settle(qram, &replicated, &replicas, &mut executed, replica)?;
-                        replicated.corrupt_replica_cell(replica, cell % total_cells);
-                    }
-                    Event::Retry { qid } => {
-                        if !states[qid].done {
-                            let loads = snapshot_loads(&replicas, &health);
-                            let probe = FleetRequest {
-                                id: states[qid].id,
-                                tenant: states[qid].tenant,
-                                arrival: states[qid].arrival,
-                                address: states[qid]
-                                    .address
-                                    .clone()
-                                    .expect("faulty runs keep addresses"),
-                            };
-                            let target = self.placement.place(&probe, &loads);
-                            assert!(
-                                target < num_replicas,
-                                "placement returned replica {target} of {num_replicas}"
-                            );
-                            let offered = loads[target].routable()
-                                && replicas[target].offer(
-                                    probe.id,
-                                    qid,
-                                    probe.tenant,
-                                    probe.arrival,
-                                    states[qid].deadline,
-                                    probe.address,
-                                );
-                            states[qid].attempts += 1;
-                            if offered {
-                                states[qid].outstanding += 1;
-                                states[qid].last_replica = target;
-                                pump = Some(target);
-                            } else {
-                                // Nowhere routable (or the queue was
-                                // full): the failed placement consumes an
-                                // attempt so the budget still bounds the
-                                // loop.
-                                lose_attempt(
-                                    qid,
-                                    now,
-                                    retry,
-                                    &mut states,
-                                    &mut events,
-                                    &mut shed,
-                                    &mut outstanding,
-                                    &mut counters,
-                                    &mut open,
-                                );
-                            }
-                        }
-                    }
-                    Event::HedgeCheck { qid } => {
-                        let eligible = !states[qid].done
-                            && states[qid].outstanding == 1
-                            && !states[qid].hedged;
-                        if eligible {
-                            let candidate = (0..num_replicas)
-                                .filter(|&r| {
-                                    health[r].routable()
-                                        && replicas[r].has_queue_room()
-                                        && r != states[qid].last_replica
-                                })
-                                .min_by_key(|&r| (replicas[r].load(), r));
-                            if let Some(target) = candidate {
-                                let offered = replicas[target].offer(
-                                    states[qid].id,
-                                    qid,
-                                    states[qid].tenant,
-                                    states[qid].arrival,
-                                    states[qid].deadline,
-                                    states[qid]
-                                        .address
-                                        .clone()
-                                        .expect("hedging runs keep addresses"),
-                                );
-                                if offered {
-                                    let state = &mut states[qid];
-                                    state.hedged = true;
-                                    state.hedge_replica = Some(target);
-                                    state.outstanding += 1;
-                                    counters.hedges += 1;
-                                    pump = Some(target);
-                                }
-                            }
-                        }
-                    }
-                    Event::Expired { qid } => {
-                        states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-                        if !states[qid].done && states[qid].outstanding == 0 {
-                            counters.deadline_expirations += 1;
-                            finish_shed(
-                                qid,
-                                ShedReason::DeadlineExceeded,
-                                &mut states,
-                                &mut shed,
-                                &mut outstanding,
-                                &mut open,
-                            );
-                        }
-                    }
-                }
+            let next_event = run.events.peek_time();
+            let first = run.arrivals.as_slice().first();
+            if first.is_some_and(|r| next_event.is_none_or(|at| r.arrival <= at)) {
+                let request = run.arrivals.next().expect("peeked arrival exists");
+                run.arrive(request);
+            } else if let Some((now, event)) = run.events.pop() {
+                run.handle(now, event)?;
             } else {
                 break;
             }
-            if let Some(target) = pump {
-                if alive[target] {
-                    let range = replicas[target].pump(now, &mut self.policy, |time, ev| {
-                        match ev {
-                            ReplicaEvent::Completion { index } => {
-                                // A slow-replica window stretches the
-                                // service time of completions starting
-                                // inside it (guarded so the fault-free
-                                // path never round-trips the timestamp
-                                // through float arithmetic).
-                                let mut at = time;
-                                if has_slow {
-                                    let start = time - latency;
-                                    let factor = plan.slow_factor(target, start);
-                                    if factor != 1.0 {
-                                        at = start + Layers::new(latency.get() * factor);
-                                    }
-                                }
-                                events.push(
-                                    at,
-                                    Event::Completion {
-                                        replica: target,
-                                        index,
-                                    },
-                                );
-                            }
-                            ReplicaEvent::Poll => {
-                                events.push(time, Event::Poll { replica: target });
-                            }
-                            ReplicaEvent::Expired { tag } => {
-                                events.push(time, Event::Expired { qid: tag });
-                            }
-                        }
-                    });
-                    for _ in range {
-                        dispatch_epochs[target].push(replicated.applied_epoch(target));
-                        dispatch_stale[target].push(replicated.is_stale(target));
-                        handled[target].push(false);
-                    }
-                }
-            }
         }
-
-        // Drain any still-open commit group: a run ending mid-group
-        // (max_delay 0, or the deadline never fired because the reactor
-        // emptied) must not report its last writes as unsynced.
-        if let Some(d) = durability.as_mut() {
-            d.flush()?;
-        }
-
-        // A final anti-entropy sweep: divergence injected after the last
-        // scheduled tick (or in runs too short to reach one) is still
-        // found and repaired before the report closes.
-        if fault_config.scrub_interval.is_some() {
-            if let Some(d) = durability.as_mut() {
-                for r in (0..num_replicas).filter(|&r| alive[r]) {
-                    settle(qram, &replicated, &replicas, &mut executed, r)?;
-                }
-                d.scrub(&mut replicated, &alive, fault_config.scrub_chunk_cells)?;
-            }
-        }
-
-        let per_replica_dispatches: Vec<u64> =
-            replicas.iter().map(|r| r.dispatch_count() as u64).collect();
-        // The no-lost-queries invariant: every admitted query resolved as
-        // Completed or Shed. (Queued hedge-loser copies may legitimately
-        // strand on a crashed-and-never-detected replica, so queue
-        // emptiness is NOT asserted here, unlike the fault-free loop.)
-        assert!(
-            states.iter().all(|s| s.done),
-            "every admitted query completes or sheds"
-        );
-        assert!(outstanding.values().all(|&n| n == 0));
-
-        // The final settle runs each replica's remaining dispatches, last
-        // replica first, and drops it right after so its addresses are
-        // freed before the next replica executes.
-        for r in (0..num_replicas).rev() {
-            settle(qram, &replicated, &replicas, &mut executed, r)?;
-            let replica = replicas.pop().expect("one replica per index");
-            assert_eq!(
-                executed[r].len(),
-                replica.dispatch_count(),
-                "every dispatch executes exactly once"
-            );
-        }
-        // Align outcomes with the completion-ordered report. Unlike the
-        // fault-free cursor walk, crashed and corrupted dispatches leave
-        // holes in a replica's completion order, so each completed query
-        // fetches its outcome by its recorded dispatch index (identical
-        // to the cursor walk when nothing faults).
-        let outcomes: Vec<QueryOutcome> = completed_dispatch
-            .iter()
-            .map(|&(r, index)| executed[r][index].clone())
-            .collect();
-
-        // Corrupted completions were re-served under the retry budget;
-        // verify the parity check would indeed have caught each one.
-        for &(r, index) in &corrupted_served {
-            let clean = &executed[r][index];
-            let delivered = corrupt_outcome(clean);
-            if parity_bit(&delivered) != parity_bit(clean) {
-                counters.corruptions_detected += 1;
-            }
-        }
-
-        Ok(FleetReport {
-            timing: self.timing,
-            completed,
-            outcomes,
-            shed,
-            per_replica_dispatches,
-            per_tenant,
-            per_replica,
-            stale_served,
-            fleet_epoch: replicated.fleet_epoch(),
-            availability: counters,
-            integrity: durability.map(|d| d.counters).unwrap_or_default(),
-        })
+        run.finish()
     }
 }
 
@@ -1973,74 +1144,77 @@ impl From<StoreError> for DurableServeError {
 /// the record payload, so the defect lands mid-frame.
 const TORN_KEEP_BYTES: usize = frame::HEADER_LEN + 7;
 
-/// Durability bookkeeping for one serving run: the WAL + checkpoint
-/// store, the epoch offset between this run's fleet epochs and the
-/// store's chain, and the integrity ledger.
+/// The durability tier of one serving run: the WAL + checkpoint store
+/// and the integrity ledger.
 struct Durability<'a> {
     store: &'a mut DurableFleet,
-    /// The store's durable epoch when the run started: fleet epoch `e`
-    /// of this run lives at store epoch `wal_base + e`.
+    /// Fleet epoch `e` of this run lives at store epoch `wal_base + e`.
     wal_base: u64,
+    /// The ledger's `wal_syncs` is the token of armed [`Event::WalFlush`]
+    /// deadlines: one whose `seq` is behind it is stale.
     counters: IntegrityCounters,
-    /// Commit-group syncs paid so far — the freshness token carried by
-    /// armed [`Event::WalFlush`] deadlines: a deadline whose `seq` is
-    /// behind this counter raced a size-triggered flush and is stale.
-    syncs: u64,
-    /// `counters.wal_appends` at the last monitor tick, for the
-    /// adaptive group-commit controller's per-tick append rate.
+    /// `counters.wal_appends` at the last monitor tick.
     appends_at_tick: u64,
-    /// Fleet epochs whose Replicate fan-out is already scheduled.
-    /// Replication only fans out from *synced* epochs (ack-at-sync);
-    /// the watermark is monotone so a lying-disk rollback and re-append
-    /// never fans the same epoch out twice.
+    /// Fleet epochs already fanned out. Replication only fans out synced
+    /// epochs (ack-at-sync); the watermark is monotone so a lying-disk
+    /// rollback and re-append never fans an epoch out twice.
     repl_scheduled: u64,
-    /// Replication lag of the fan-out; `None` on a one-replica fleet.
-    replication_lag: Option<Layers>,
 }
 
 impl<'a> Durability<'a> {
-    fn new(store: &'a mut DurableFleet, replication_lag: Option<Layers>) -> Self {
-        let wal_base = store.durable_epoch();
-        Durability {
+    /// The run's durability tier: the external store, or an ephemeral
+    /// in-memory one when disk faults, scrubbing or adaptive group commit
+    /// need a durable chain. `None` otherwise: the run touches no disk.
+    fn for_run(
+        store: Option<&'a mut DurableFleet>,
+        ephemeral: &'a mut Option<DurableFleet>,
+        memory: &ClassicalMemory,
+        plan: &FaultPlan,
+        config: &FaultConfig,
+    ) -> Result<Option<Self>, StoreError> {
+        let store = match store {
+            Some(store) => store,
+            None if plan.has_disk_faults()
+                || config.scrub_interval.is_some()
+                || config.adaptive_group_commit.is_some() =>
+            {
+                let dir = Box::new(SimDir::new());
+                let fresh = DurableFleet::create_with(dir, memory, CheckpointPolicy::never())?;
+                ephemeral.insert(fresh)
+            }
+            None => return Ok(None),
+        };
+        store.set_group_commit(config.group_commit);
+        Ok(Some(Durability {
+            wal_base: store.durable_epoch(),
             store,
-            wal_base,
             counters: IntegrityCounters::default(),
-            syncs: 0,
             appends_at_tick: 0,
             repl_scheduled: 0,
-            replication_lag,
-        }
+        }))
     }
 
-    /// Folds one store [`SyncSummary`] into the integrity ledger and
-    /// the sync sequence number.
+    /// Folds one store [`SyncSummary`] into the integrity ledger.
     fn note(&mut self, summary: SyncSummary) {
+        let counters = &mut self.counters;
         if summary.synced_records > 0 {
-            self.syncs += 1;
-            self.counters.wal_syncs += 1;
-            self.counters.max_group_records = self
-                .counters
-                .max_group_records
-                .max(summary.synced_records as u64);
+            counters.wal_syncs += 1;
+            let records = summary.synced_records as u64;
+            counters.max_group_records = counters.max_group_records.max(records);
         }
         if summary.checkpointed {
             if summary.delta {
-                self.counters.delta_checkpoints += 1;
+                counters.delta_checkpoints += 1;
             } else {
-                self.counters.checkpoints += 1;
+                counters.checkpoints += 1;
             }
-            self.counters.delta_chain_len = Some(self.store.delta_chain_len() as u64);
+            counters.delta_chain_len = Some(self.store.delta_chain_len() as u64);
         }
     }
 
-    /// Logs one committed fleet write durably; `torn` arms the
-    /// lying-disk hook so the append reports success while the platter
-    /// keeps only [`TORN_KEEP_BYTES`]. Under group commit the record
-    /// may buffer; the returned summary says whether a sync landed.
-    fn append(&mut self, w: &ReplicatedWrite, torn: bool) -> Result<SyncSummary, StoreError> {
-        if torn {
-            self.store.dir_mut().tear_next_write(TORN_KEEP_BYTES);
-        }
+    /// Appends fleet write `w` to the WAL at its store epoch (under
+    /// group commit it may buffer: the summary says if a sync landed).
+    fn log(&mut self, w: &ReplicatedWrite) -> Result<SyncSummary, StoreError> {
         let stored = ReplicatedWrite {
             epoch: self.wal_base + w.epoch,
             ..*w
@@ -2051,31 +1225,42 @@ impl<'a> Durability<'a> {
         Ok(summary)
     }
 
-    /// Lands any buffered commit group now (deadline flush, pre-audit
-    /// barrier, end-of-run drain).
-    fn flush(&mut self) -> Result<SyncSummary, StoreError> {
+    /// Lands any buffered commit group now.
+    fn flush(&mut self) -> Result<(), StoreError> {
         let summary = self.store.flush()?;
         self.note(summary);
-        Ok(summary)
+        Ok(())
     }
 
-    /// Lands the open commit group, then fans replication out for every
-    /// fleet epoch synced since the last fan-out and advances the
-    /// watermark. A single sync may acknowledge a whole group of epochs
-    /// at once.
-    fn flush_and_replicate(
-        &mut self,
-        events: &mut EventQueue<Event>,
-        plan: &FaultPlan,
-        now: Layers,
-    ) -> Result<(), StoreError> {
+    /// Lands the open commit group; returns the fleet epochs `(from, to]`
+    /// it newly synced (a whole group may sync at once) and moves past them.
+    fn flush_synced(&mut self) -> Result<(u64, u64), StoreError> {
         self.flush()?;
         let synced = self.store.durable_epoch().saturating_sub(self.wal_base);
-        if let Some(lag) = self.replication_lag {
-            schedule_replication(events, plan, lag, now, self.repl_scheduled, synced);
+        let from = self.repl_scheduled;
+        self.repl_scheduled = from.max(synced);
+        Ok((from, synced))
+    }
+
+    /// Adaptive group commit, once per monitor tick: double the group
+    /// size while the tick's appends outran it, halve it when they filled
+    /// at most half. Only the size moves, never the ack-at-sync point.
+    fn retune(&mut self, bounds: AdaptiveGroupCommit) {
+        let appends = self.counters.wal_appends - self.appends_at_tick;
+        self.appends_at_tick = self.counters.wal_appends;
+        let mut g = self.store.group_commit();
+        let current = g.max_records;
+        let next = if appends > current as u64 {
+            current.saturating_mul(2).min(bounds.max_records)
+        } else if appends <= (current as u64) / 2 {
+            (current / 2).max(bounds.min_records)
+        } else {
+            current
+        };
+        if next != current {
+            g.max_records = next.max(1);
+            self.store.set_group_commit(g);
         }
-        self.repl_scheduled = self.repl_scheduled.max(synced);
-        Ok(())
     }
 
     /// Audits the on-disk WAL against the store's view: a torn tail is
@@ -2093,16 +1278,9 @@ impl<'a> Durability<'a> {
         if summary.lost_epochs > 0 {
             let from = self.store.durable_epoch();
             for w in replicated.log() {
-                let stored_epoch = self.wal_base + w.epoch;
-                if stored_epoch > from {
-                    let stored = ReplicatedWrite {
-                        epoch: stored_epoch,
-                        ..*w
-                    };
-                    let summary = self.store.append(&stored)?;
-                    self.counters.wal_appends += 1;
+                if self.wal_base + w.epoch > from {
+                    self.log(w)?;
                     self.counters.repairs += 1;
-                    self.note(summary);
                 }
             }
             // Re-appends buffer under the same group policy — the
@@ -2112,42 +1290,31 @@ impl<'a> Durability<'a> {
         Ok(())
     }
 
-    /// Replays a restarted replica from the durable chain: disk audit,
-    /// then a reset to the chain's image at its watermark. The caller
-    /// drains any remaining in-memory log suffix afterwards.
-    fn rejoin_from_disk(
-        &mut self,
-        replica: usize,
-        replicated: &mut ReplicatedMemory,
-    ) -> Result<(), StoreError> {
-        self.audit_disk(replicated)?;
-        let durable_fleet_epoch = self.store.durable_epoch() - self.wal_base;
-        if durable_fleet_epoch > replicated.applied_epoch(replica) {
-            replicated.reset_replica(replica, self.store.shadow().clone(), durable_fleet_epoch);
-        }
-        Ok(())
-    }
-
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
-    /// chunk of every live replica's memory against the durable chain's
-    /// expected state at that replica's applied epoch, repairing
-    /// divergence by resetting the replica to the expected image. The
-    /// replica side is re-read every cycle: a [`Fault::DiskCorrupt`]
-    /// flip bypasses the log, so nothing about it may be cached.
+    /// chunk of every `live` replica's memory with the durable chain's
+    /// image at its applied epoch (built once per epoch), resetting a
+    /// diverged replica to that image. The replica side is re-read every
+    /// cycle: a [`Fault::DiskCorrupt`] flip bypasses the log.
     fn scrub(
         &mut self,
         replicated: &mut ReplicatedMemory,
-        alive: &[bool],
+        live: impl Iterator<Item = usize>,
         chunk_cells: usize,
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
-        for r in (0..replicated.num_replicas()).filter(|&r| alive[r]) {
+        let mut images: Vec<(u64, Option<ClassicalMemory>)> = Vec::new();
+        for r in live {
             let applied = replicated.applied_epoch(r);
+            let slot = images.iter().position(|&(epoch, _)| epoch == applied);
+            let slot = slot.unwrap_or_else(|| {
+                images.push((applied, self.store.state_at(self.wal_base + applied)));
+                images.len() - 1
+            });
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
             // catch-up moves it past the checkpoint watermark.
-            let Some(expected) = self.store.state_at(self.wal_base + applied) else {
+            let Some(expected) = &images[slot].1 else {
                 continue;
             };
             let want = expected.cells().chunks(chunk_cells);
@@ -2157,23 +1324,21 @@ impl<'a> Durability<'a> {
             if diverged > 0 {
                 self.counters.mismatches += diverged;
                 self.counters.repairs += 1;
-                replicated.reset_replica(r, expected, applied);
+                replicated.reset_replica(r, expected.clone(), applied);
             }
         }
         Ok(())
     }
 }
 
-/// Driver-private bookkeeping for one admitted query in the
-/// fault-tolerant loop.
+/// Driver-private bookkeeping for one admitted query.
 #[derive(Debug)]
 struct QueryState {
     id: usize,
     tenant: TenantId,
     arrival: Layers,
     deadline: Option<Layers>,
-    /// The queried address, kept for re-dispatch. `None` in fault-free
-    /// runs without hedging (no clone on the hot path).
+    /// Kept for re-dispatch; `None` (no clone) unless faults or hedging.
     address: Option<AddressState>,
     /// Dispatch attempts consumed, counting the first.
     attempts: u32,
@@ -2182,142 +1347,899 @@ struct QueryState {
     /// Resolved — completed or shed. Terminal.
     done: bool,
     last_replica: usize,
-    hedged: bool,
+    /// Where the query's one hedge went, once it has been hedged.
     hedge_replica: Option<usize>,
 }
 
-/// Settles replica `r`: executes its dispatches that have not run yet
-/// against its live memory. Called just before anything changes that
-/// memory, so every query reads the image its replica held at dispatch.
-fn settle<M: QramModel>(
-    qram: &ShardedQram<M>,
-    replicated: &ReplicatedMemory,
-    replicas: &[Replica],
-    executed: &mut [Vec<QueryOutcome>],
-    r: usize,
-) -> Result<(), ExecError> {
-    let addresses = &replicas[r].addresses()[executed[r].len()..];
-    if !addresses.is_empty() {
-        executed[r].extend(qram.execute_queries(replicated.memory(r), addresses, &[])?);
-    }
-    Ok(())
+/// The fleet's record of one dispatch: the memory epoch its replica had
+/// applied, whether that trailed the fleet epoch, and whether the
+/// completion was consumed (or a crash failed the dispatch over).
+#[derive(Debug, Clone, Copy)]
+struct Dispatch {
+    epoch: u64,
+    stale: bool,
+    handled: bool,
 }
 
-/// Fans replication catch-ups out for fleet epochs `(from_excl,
-/// to_incl]`, each through the fault plan's per-epoch fate.
-fn schedule_replication(
-    events: &mut EventQueue<Event>,
-    plan: &FaultPlan,
-    lag: Layers,
-    now: Layers,
-    from_excl: u64,
-    to_incl: u64,
-) {
-    for epoch in from_excl + 1..=to_incl {
-        match plan.replication_fate(epoch) {
-            ReplicationFate::Deliver => {
-                events.push(now + lag, Event::Replicate { epoch });
+/// The failure detector's view of one replica.
+#[derive(Debug, Clone)]
+struct Liveness {
+    alive: bool,
+    health: ReplicaHealth,
+    /// Consecutive monitor ticks that found the replica dead.
+    misses: u32,
+    down_since: Option<Layers>,
+    /// When the replay completes; a re-crash clears it (and so the rejoin).
+    rejoin_at: Option<f64>,
+    /// Queries stranded by a crash, failed over on Down or recovery.
+    stranded: Vec<usize>,
+}
+
+/// One serving run: the reactor's state, with one handler per [`Event`]
+/// kind plus [`FleetRun::arrive`]. A handler that unblocks a dispatcher
+/// ends by pumping it, so each pushes its events in one fixed order.
+struct FleetRun<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> {
+    fleet: &'a mut QramFleet<M, P, L>,
+    plan: &'a FaultPlan,
+    config: &'a FaultConfig,
+    latency: Layers,
+    /// Monitor ticks run; otherwise no monitor or fault event is queued.
+    monitoring: bool,
+    /// `None` on a one-replica fleet: it has no peer to fan writes to.
+    replication_lag: Option<Layers>,
+    /// Serving slots per replica: the denominator of brownout occupancy.
+    replica_slots: usize,
+    /// Arrivals not yet routed, in arrival order.
+    arrivals: std::vec::IntoIter<FleetRequest>,
+    events: EventQueue<Event>,
+    replicas: Vec<Replica>,
+    replicated: ReplicatedMemory,
+    /// Outcomes of each replica's dispatches executed so far: a prefix of
+    /// its dispatch order, extended by [`FleetRun::settle`].
+    executed: Vec<Vec<QueryOutcome>>,
+    dispatches: Vec<Vec<Dispatch>>,
+    /// The load snapshot of the last placement.
+    loads: Vec<ReplicaLoad>,
+    live: Vec<Liveness>,
+    states: Vec<QueryState>,
+    /// Admitted queries not yet resolved.
+    open: usize,
+    brownout: Option<BrownoutController>,
+    durability: Option<Durability<'a>>,
+    counters: AvailabilityCounters,
+    completed: Vec<FleetQuery>,
+    /// `(replica, dispatch index)` of each completed query.
+    completed_dispatch: Vec<(usize, usize)>,
+    corrupted_served: Vec<(usize, usize)>,
+    shed: Vec<ShedRequest>,
+    outstanding: BTreeMap<TenantId, u32>,
+}
+
+impl<'a, M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> FleetRun<'a, M, P, L> {
+    /// Sets a run up, with its write, fault, monitor and scrub events.
+    fn new(
+        fleet: &'a mut QramFleet<M, P, L>,
+        memory: &ClassicalMemory,
+        requests: impl IntoIterator<Item = FleetRequest>,
+        writes: impl IntoIterator<Item = FleetWrite>,
+        plan: &'a FaultPlan,
+        config: &'a FaultConfig,
+        durability: Option<Durability<'a>>,
+    ) -> Self {
+        let num_replicas = fleet.replicas;
+        let server = fleet.equivalent_server();
+        let aggregate_cap = fleet
+            .policy
+            .in_flight_cap(&server)
+            .clamp(1, server.parallelism());
+        let queue_capacity = fleet.config.queue_capacity;
+        let replica = || {
+            Replica::new(
+                fleet.backend.num_shards() as usize,
+                fleet.backend.shard_parallelism(),
+                server.interval(),
+                server.latency(),
+                aggregate_cap,
+                queue_capacity,
+            )
+        };
+        let address_width = fleet.backend.capacity().address_width();
+        let mut arrivals: Vec<FleetRequest> = requests.into_iter().collect();
+        assert!(
+            arrivals
+                .iter()
+                .all(|r| r.address.address_width() == address_width),
+            "request address width must match QRAM capacity"
+        );
+        arrivals.sort_by(|a, b| {
+            a.arrival
+                .get()
+                .partial_cmp(&b.arrival.get())
+                .expect("event times are finite")
+        });
+        let mut events = EventQueue::new();
+        for write in writes {
+            assert!(
+                write.origin < num_replicas,
+                "write origin replica {} out of range (R = {num_replicas})",
+                write.origin
+            );
+            events.push(write.at, Event::Write(write));
+        }
+        let healthy = Liveness {
+            alive: true,
+            health: ReplicaHealth::Healthy,
+            misses: 0,
+            down_since: None,
+            rejoin_at: None,
+            stranded: Vec::new(),
+        };
+        let mut run = FleetRun {
+            latency: server.latency(),
+            monitoring: !plan.is_empty()
+                || config.brownout.is_some()
+                || config.adaptive_group_commit.is_some(),
+            replication_lag: (num_replicas > 1).then_some(fleet.config.replication_lag),
+            replica_slots: aggregate_cap as usize
+                + queue_capacity.unwrap_or(4 * aggregate_cap as usize),
+            states: Vec::with_capacity(arrivals.len()),
+            completed: Vec::with_capacity(arrivals.len()),
+            completed_dispatch: Vec::with_capacity(arrivals.len()),
+            arrivals: arrivals.into_iter(),
+            events,
+            replicas: (0..num_replicas).map(|_| replica()).collect(),
+            replicated: ReplicatedMemory::new(memory.clone(), num_replicas),
+            executed: vec![Vec::new(); num_replicas],
+            dispatches: vec![Vec::new(); num_replicas],
+            loads: Vec::with_capacity(num_replicas),
+            live: vec![healthy; num_replicas],
+            open: 0,
+            brownout: config.brownout.map(BrownoutController::new),
+            durability,
+            counters: AvailabilityCounters::default(),
+            corrupted_served: Vec::new(),
+            shed: Vec::new(),
+            outstanding: BTreeMap::new(),
+            fleet,
+            plan,
+            config,
+        };
+        run.schedule_faults();
+        run
+    }
+
+    /// Queues the plan's timed faults and the first monitor and scrub
+    /// ticks, for a run that monitors or scrubs at all.
+    fn schedule_faults(&mut self) {
+        let num_replicas = self.replicas.len();
+        let num_shards = self.fleet.backend.num_shards() as usize;
+        if self.monitoring {
+            assert!(
+                self.config.monitor_interval.get() > 0.0,
+                "monitoring needs a positive monitor interval"
+            );
+            for fault in self.plan.faults() {
+                let (replica, timed) = match *fault {
+                    Fault::Crash { replica, at } => (replica, Some((at, Event::Crash { replica }))),
+                    Fault::Recover { replica, at } => {
+                        (replica, Some((at, Event::Recover { replica })))
+                    }
+                    Fault::StallShard {
+                        replica,
+                        shard,
+                        from,
+                        until,
+                    } => {
+                        assert!(shard < num_shards, "stall names shard {shard}");
+                        self.events.push(from, Event::StallStart { replica, shard });
+                        (replica, Some((until, Event::StallEnd { replica, shard })))
+                    }
+                    Fault::DiskCorrupt { replica, at, cell } => {
+                        (replica, Some((at, Event::DiskCorrupt { replica, cell })))
+                    }
+                    Fault::SlowReplica { replica, .. } | Fault::CorruptOutcome { replica, .. } => {
+                        (replica, None)
+                    }
+                    Fault::DropReplication { .. }
+                    | Fault::DelayReplication { .. }
+                    | Fault::TornWrite { .. } => continue,
+                };
+                assert!(replica < num_replicas, "fault names replica {replica}");
+                if let Some((at, event)) = timed {
+                    self.events.push(at, event);
+                }
             }
-            ReplicationFate::Drop => {}
-            ReplicationFate::Delay(by) => {
-                events.push(now + lag + by, Event::Replicate { epoch });
+            let first_tick = self.config.monitor_interval;
+            self.events.push(first_tick, Event::MonitorTick);
+        }
+        if let (Some(interval), Some(_)) = (self.config.scrub_interval, &self.durability) {
+            assert!(
+                interval.get() > 0.0,
+                "scrubbing needs a positive scrub interval"
+            );
+            assert!(
+                self.config.scrub_chunk_cells > 0,
+                "scrub chunks must hold at least one cell"
+            );
+            self.events.push(interval, Event::ScrubTick);
+        }
+    }
+
+    /// Dispatches one reactor event to its handler.
+    fn handle(&mut self, now: Layers, event: Event) -> Result<(), DurableServeError> {
+        match event {
+            Event::Write(write) => self.write(write, now)?,
+            Event::Replicate { epoch } => self.replicate(epoch)?,
+            Event::Completion { replica, index } => self.complete(replica, index, now),
+            Event::Poll { replica } => self.poll(replica, now),
+            Event::Crash { replica } => self.crash(replica, now),
+            Event::Recover { replica } => self.recover(replica, now),
+            Event::RejoinDone { replica } => self.rejoin(replica, now)?,
+            Event::StallStart { replica, shard } => self.stall(replica, shard, true, now),
+            Event::StallEnd { replica, shard } => self.stall(replica, shard, false, now),
+            Event::MonitorTick => self.monitor(now),
+            Event::ScrubTick => self.scrub_tick(now)?,
+            Event::WalFlush { seq } => self.wal_flush(seq, now)?,
+            Event::DiskCorrupt { replica, cell } => self.disk_corrupt(replica, cell)?,
+            Event::Retry { qid } => self.retry(qid, now),
+            Event::HedgeCheck { qid } => self.hedge(qid, now),
+            Event::Expired { qid } => self.expire(qid),
+        }
+        Ok(())
+    }
+
+    /// Routes an arrival onto a replica, or sheds it at the router.
+    fn arrive(&mut self, request: FleetRequest) {
+        match self.route(&request) {
+            Ok(target) => self.admit(request, target),
+            Err(reason) => self.shed.push(ShedRequest {
+                id: request.id,
+                tenant: request.tenant,
+                reason,
+            }),
+        }
+    }
+
+    /// The replica to queue an arrival at, or why the router sheds it.
+    fn route(&mut self, request: &FleetRequest) -> Result<usize, ShedReason> {
+        let policy = &self.fleet.policy;
+        let slo = policy.tenant_slo(request.tenant);
+        let in_use = self.outstanding.get(&request.tenant).copied();
+        if self.brownout.is_some_and(|c| c.sheds(slo)) {
+            return Err(ShedReason::Brownout);
+        }
+        let quota = policy.tenant_quota(request.tenant);
+        if quota.is_some_and(|quota| in_use.unwrap_or(0) >= quota) {
+            return Err(ShedReason::QuotaExceeded);
+        }
+        let queue_capacity = self.fleet.config.queue_capacity;
+        let slo_bound = queue_capacity.map(|cap| slo.queue_bound(cap));
+        let target = self.place(request);
+        let replica = &self.replicas[target];
+        if !self.loads[target].routable() {
+            Err(ShedReason::NoHealthyReplica)
+        } else if slo_bound.is_some_and(|bound| replica.queued() >= bound) {
+            Err(if replica.has_queue_room() {
+                ShedReason::SloShed
+            } else {
+                ShedReason::QueueFull
+            })
+        } else {
+            Ok(target)
+        }
+    }
+
+    /// Queues a routed arrival at `target` as a new query. Only a fault
+    /// or a hedge offers a query again, so only then is its address kept.
+    fn admit(&mut self, request: FleetRequest, target: usize) {
+        let qid = self.states.len();
+        let (tenant, arrival) = (request.tenant, request.arrival);
+        let policy = &self.fleet.policy;
+        let deadline = policy.tenant_deadline(tenant).map(|b| arrival + b);
+        let hedge_at = self.config.hedge_delay.map(|delay| arrival + delay);
+        let hedge_at = hedge_at.filter(|_| policy.tenant_slo(tenant) == SloClass::Interactive);
+        let keep = !self.plan.is_empty() || self.config.hedge_delay.is_some();
+        self.states.push(QueryState {
+            id: request.id,
+            tenant,
+            arrival,
+            deadline,
+            address: keep.then(|| request.address.clone()),
+            attempts: 1,
+            outstanding: 1,
+            done: false,
+            last_replica: target,
+            hedge_replica: None,
+        });
+        let offered = self.offer_copy(qid, target, request);
+        debug_assert!(offered, "the SLO bound is at most the queue bound");
+        *self.outstanding.entry(tenant).or_insert(0) += 1;
+        self.open += 1;
+        if let Some(at) = hedge_at {
+            self.events.push(at, Event::HedgeCheck { qid });
+        }
+        self.pump(target, arrival);
+    }
+
+    /// Snapshots the replicas' loads and asks the placement policy.
+    fn place(&mut self, request: &FleetRequest) -> usize {
+        self.loads.clear();
+        for (r, live) in self.replicas.iter().zip(&self.live) {
+            self.loads.push(ReplicaLoad {
+                queued: r.queued(),
+                in_flight: r.in_flight(),
+                has_room: r.has_queue_room(),
+                health: live.health,
+            });
+        }
+        let target = self.fleet.placement.place(request, &self.loads);
+        let num_replicas = self.loads.len();
+        assert!(
+            target < num_replicas,
+            "placement returned replica {target} of {num_replicas}"
+        );
+        target
+    }
+
+    /// Runs a live replica's dispatcher and records each new dispatch.
+    fn pump(&mut self, target: usize, now: Layers) {
+        if !self.live[target].alive {
+            return;
+        }
+        let (plan, latency, has_slow) = (self.plan, self.latency, self.plan.has_slow_faults());
+        let events = &mut self.events;
+        let range = self.replicas[target].pump(now, &mut self.fleet.policy, |time, ev| match ev {
+            ReplicaEvent::Completion { index } => {
+                // A slow-replica window stretches the service time of
+                // completions starting inside it (guarded so the
+                // fault-free path never round-trips the timestamp through
+                // float arithmetic).
+                let mut at = time;
+                if has_slow {
+                    let start = time - latency;
+                    let factor = plan.slow_factor(target, start);
+                    if factor != 1.0 {
+                        at = start + Layers::new(latency.get() * factor);
+                    }
+                }
+                let replica = target;
+                events.push(at, Event::Completion { replica, index });
+            }
+            ReplicaEvent::Poll => events.push(time, Event::Poll { replica: target }),
+            ReplicaEvent::Expired { tag } => events.push(time, Event::Expired { qid: tag }),
+        });
+        let dispatch = Dispatch {
+            epoch: self.replicated.applied_epoch(target),
+            stale: self.replicated.is_stale(target),
+            handled: false,
+        };
+        self.dispatches[target].extend(range.map(|_| dispatch));
+    }
+
+    /// Executes replica `r`'s unexecuted dispatches against its live
+    /// memory: called before anything changes it, so every query reads
+    /// the image its replica held at dispatch.
+    fn settle(&mut self, r: usize) -> Result<(), ExecError> {
+        let addresses = &self.replicas[r].addresses()[self.executed[r].len()..];
+        if !addresses.is_empty() {
+            let memory = self.replicated.memory(r);
+            let outcomes = self.fleet.backend.execute_queries(memory, addresses, &[])?;
+            self.executed[r].extend(outcomes);
+        }
+        Ok(())
+    }
+
+    /// Fans replication out for fleet epochs `(from, to]`, per the plan.
+    fn fan_out(&mut self, from: u64, to: u64, now: Layers) {
+        let Some(lag) = self.replication_lag else {
+            return;
+        };
+        for epoch in from + 1..=to {
+            let at = match self.plan.replication_fate(epoch) {
+                ReplicationFate::Deliver => now + lag,
+                ReplicationFate::Drop => continue,
+                ReplicationFate::Delay(by) => now + lag + by,
+            };
+            self.events.push(at, Event::Replicate { epoch });
+        }
+    }
+
+    /// Lands a durable run's open commit group and fans out what it synced.
+    fn flush_and_replicate(&mut self, now: Layers) -> Result<(), StoreError> {
+        if let Some(d) = self.durability.as_mut() {
+            let (from, to) = d.flush_synced()?;
+            self.fan_out(from, to, now);
+        }
+        Ok(())
+    }
+
+    /// A write commits — at the first live replica if its origin is down,
+    /// so writes survive crashes of the client's affinity target.
+    fn write(&mut self, write: FleetWrite, now: Layers) -> Result<(), DurableServeError> {
+        let origin = if self.live[write.origin].alive {
+            write.origin
+        } else {
+            let live = self.live.iter().position(|live| live.alive);
+            live.unwrap_or(write.origin)
+        };
+        self.settle(origin)?;
+        let epoch = self.replicated.write_at(origin, write.address, write.value);
+        let Some(d) = self.durability.as_mut() else {
+            self.fan_out(epoch - 1, epoch, now);
+            return Ok(());
+        };
+        // Log the write before replication fans out. A planned torn write
+        // arms the lying disk: the append reports success, the platter
+        // keeps a partial record, and a later scrub's rescan repairs it.
+        if self.plan.tears(epoch) {
+            d.store.dir_mut().tear_next_write(TORN_KEEP_BYTES);
+        }
+        let w = *self
+            .replicated
+            .log()
+            .last()
+            .expect("the write just committed");
+        let delay = d.store.group_commit().max_delay;
+        if d.log(&w)?.synced_records > 0 {
+            // Ack-at-sync: replication only fans out from synced epochs.
+            // The group just landed, so the flush finds it empty.
+            self.flush_and_replicate(now)?;
+        } else if d.store.pending_records() == 1 && delay > 0.0 {
+            // This write opened a commit group: arm its flush deadline so
+            // a lull in writes cannot hold the acknowledgment hostage.
+            let seq = d.counters.wal_syncs;
+            self.events
+                .push(now + Layers::new(delay), Event::WalFlush { seq });
+        }
+        Ok(())
+    }
+
+    /// The log prefix up to `epoch` reaches every live replica (the dead
+    /// catch up by replay before they rejoin).
+    fn replicate(&mut self, epoch: u64) -> Result<(), ExecError> {
+        for r in 0..self.replicas.len() {
+            if self.live[r].alive && self.replicated.applied_epoch(r) < epoch {
+                self.settle(r)?;
+                self.replicated.catch_up_to(r, epoch);
+            }
+        }
+        Ok(())
+    }
+
+    /// A dispatch leaves its pipeline: its query completes, unless a
+    /// crash failed it over, its outcome is corrupted, or a hedge won.
+    fn complete(&mut self, replica: usize, index: usize, now: Layers) {
+        let dispatch = &mut self.dispatches[replica][index];
+        if dispatch.handled {
+            return;
+        }
+        dispatch.handled = true;
+        let Dispatch { epoch, stale, .. } = *dispatch;
+        let qid = self.replicas[replica].tag_of(index);
+        let tenant = self.replicas[replica].tenant_of(index);
+        let record = self.replicas[replica].complete(index, now);
+        let health = &mut self.live[replica].health;
+        if self.monitoring
+            && *health == ReplicaHealth::Healthy
+            && (record.finish - record.start).get() > self.latency.get() * LATENCY_MARGIN
+        {
+            // Completion-latency assertion: a replica serving far over
+            // nominal is suspect.
+            *health = ReplicaHealth::Suspect;
+        }
+        let state = &mut self.states[qid];
+        if self.plan.corrupts(replica, index) {
+            self.corrupted_served.push((replica, index));
+            self.lose_attempt(qid, now);
+        } else if state.done {
+            state.outstanding = state.outstanding.saturating_sub(1);
+        } else {
+            state.done = true;
+            state.outstanding = state.outstanding.saturating_sub(1);
+            self.counters.hedge_wins += u64::from(state.hedge_replica == Some(replica));
+            self.completed.push(FleetQuery {
+                id: state.id,
+                tenant,
+                arrival: state.arrival,
+                start: record.start,
+                finish: record.finish,
+                replica,
+                shard: record.shard,
+                epoch,
+                stale,
+                attempts: state.attempts,
+            });
+            self.completed_dispatch.push((replica, index));
+            *self.outstanding.get_mut(&tenant).expect("tenant admitted") -= 1;
+            self.open -= 1;
+        }
+        self.pump(replica, now);
+    }
+
+    /// Wakes a dispatcher. (A crash cleared a dead replica's poll latch,
+    /// so the ack is a no-op there, and a dead replica never pumps.)
+    fn poll(&mut self, replica: usize, now: Layers) {
+        self.replicas[replica].ack_poll(now);
+        self.pump(replica, now);
+    }
+
+    /// A replica dies: its queued and in-flight queries strand there.
+    fn crash(&mut self, replica: usize, now: Layers) {
+        let live = &mut self.live[replica];
+        if !live.alive {
+            return;
+        }
+        live.alive = false;
+        live.down_since = Some(now);
+        live.rejoin_at = None;
+        self.counters.crashes += 1;
+        for qid in self.replicas[replica].fail() {
+            self.strand(qid, replica);
+        }
+        for index in 0..self.dispatches[replica].len() {
+            let dispatch = &mut self.dispatches[replica][index];
+            if !dispatch.handled {
+                dispatch.handled = true;
+                self.strand(self.replicas[replica].tag_of(index), replica);
             }
         }
     }
-}
 
-fn snapshot_loads(replicas: &[Replica], health: &[ReplicaHealth]) -> Vec<ReplicaLoad> {
-    replicas
-        .iter()
-        .zip(health)
-        .map(|(r, &h)| ReplicaLoad {
-            queued: r.queued(),
-            in_flight: r.in_flight(),
-            has_room: r.has_queue_room(),
-            health: h,
+    /// A replica restarts: its stranded queries fail over, and it replays.
+    fn recover(&mut self, replica: usize, now: Layers) {
+        let live = &mut self.live[replica];
+        if live.alive {
+            return;
+        }
+        live.alive = true;
+        live.health = ReplicaHealth::Recovering;
+        live.misses = 0;
+        self.fail_over(replica, now);
+        let replay = Layers::new(REPLAY_PER_ENTRY * self.replicated.lag(replica) as f64);
+        self.live[replica].rejoin_at = Some((now + replay).get());
+        self.events
+            .push(now + replay, Event::RejoinDone { replica });
+    }
+
+    /// A replay finished: the replica rejoins, fully caught up — unless
+    /// it crashed again meanwhile, which makes this firing stale.
+    fn rejoin(&mut self, replica: usize, now: Layers) -> Result<(), DurableServeError> {
+        let live = &mut self.live[replica];
+        if !live.alive || live.rejoin_at != Some(now.get()) {
+            return Ok(());
+        }
+        live.rejoin_at = None;
+        self.settle(replica)?;
+        // Land the open commit group so the audit sees the whole synced
+        // prefix, then replay from disk (the chain's image at its
+        // watermark) and the in-memory log past it (all of it, without a
+        // durability tier).
+        self.flush_and_replicate(now)?;
+        if let Some(d) = self.durability.as_mut() {
+            d.audit_disk(&self.replicated)?;
+            let durable = d.store.durable_epoch() - d.wal_base;
+            if durable > self.replicated.applied_epoch(replica) {
+                let image = d.store.shadow().clone();
+                self.replicated.reset_replica(replica, image, durable);
+            }
+        }
+        self.replicated.catch_up(replica);
+        let live = &mut self.live[replica];
+        live.health = ReplicaHealth::Healthy;
+        self.counters.recoveries += 1;
+        if let Some(since) = live.down_since.take() {
+            self.counters.record_downtime(now - since);
+        }
+        self.pump(replica, now);
+        Ok(())
+    }
+
+    /// A shard's dispatch queue freezes, or thaws and is re-pumped.
+    fn stall(&mut self, replica: usize, shard: usize, stalled: bool, now: Layers) {
+        self.replicas[replica].set_shard_stall(shard, stalled);
+        if !stalled {
+            self.pump(replica, now);
+        }
+    }
+
+    /// Samples heartbeats, feeds brownout the routable fleet's occupancy
+    /// and retunes group commit; re-armed while work remains.
+    fn monitor(&mut self, now: Layers) {
+        for r in 0..self.replicas.len() {
+            self.heartbeat(r, now);
+        }
+        if let Some(controller) = self.brownout.as_mut() {
+            let (mut load, mut routable) = (0, 0);
+            for (replica, live) in self.replicas.iter().zip(&self.live) {
+                if live.health.routable() {
+                    load += replica.load();
+                    routable += 1;
+                }
+            }
+            let slots = routable * self.replica_slots;
+            let occupancy = (slots > 0).then(|| load as f64 / slots as f64);
+            controller.observe(occupancy.unwrap_or(1.0));
+        }
+        if let (Some(bounds), Some(d)) = (self.config.adaptive_group_commit, &mut self.durability) {
+            d.retune(bounds);
+        }
+        if self.busy() {
+            let at = now + self.config.monitor_interval;
+            self.events.push(at, Event::MonitorTick);
+        }
+    }
+
+    /// A live replica clears its misses and any Suspect verdict; a dead
+    /// one is Suspect at one miss and Down, failing everything over, at two.
+    fn heartbeat(&mut self, r: usize, now: Layers) {
+        let live = &mut self.live[r];
+        if live.alive {
+            live.misses = 0;
+            if live.health == ReplicaHealth::Suspect {
+                live.health = ReplicaHealth::Healthy;
+            }
+            return;
+        }
+        live.misses += 1;
+        match (live.health, live.misses) {
+            (ReplicaHealth::Down, _) => {}
+            (_, 1) => live.health = ReplicaHealth::Suspect,
+            _ => {
+                live.health = ReplicaHealth::Down;
+                // Scoop queries offered between the crash and its
+                // detection, then fail everything stranded here over.
+                for qid in self.replicas[r].fail() {
+                    self.strand(qid, r);
+                }
+                self.fail_over(r, now);
+            }
+        }
+    }
+
+    /// A scrub cycle of a durable run, after landing the open commit group
+    /// so disk and memory describe the same prefix; re-armed while busy.
+    fn scrub_tick(&mut self, now: Layers) -> Result<(), DurableServeError> {
+        self.flush_and_replicate(now)?;
+        self.settle_and_scrub()?;
+        if let (Some(interval), true) = (self.config.scrub_interval, self.busy()) {
+            self.events.push(now + interval, Event::ScrubTick);
+        }
+        Ok(())
+    }
+
+    /// A commit group's flush deadline: stale when a fuller group synced
+    /// since (`seq` moved on) or the group emptied.
+    fn wal_flush(&mut self, seq: u64, now: Layers) -> Result<(), StoreError> {
+        let due = |d: &Durability| d.counters.wal_syncs == seq && d.store.pending_records() > 0;
+        if self.durability.as_ref().is_some_and(due) {
+            self.flush_and_replicate(now)?;
+        }
+        Ok(())
+    }
+
+    /// A bit flips in a live replica image, bypassing the log: only a
+    /// scrub finds it. Dispatches settled first read the clean cell.
+    fn disk_corrupt(&mut self, replica: usize, cell: u64) -> Result<(), ExecError> {
+        self.settle(replica)?;
+        let cells = self.replicated.memory(replica).cells().len() as u64;
+        self.replicated.corrupt_replica_cell(replica, cell % cells);
+        Ok(())
+    }
+
+    /// Re-places a lost query after its backoff. A failed placement still
+    /// consumes an attempt, so the budget bounds the loop.
+    fn retry(&mut self, qid: usize, now: Layers) {
+        if self.states[qid].done {
+            return;
+        }
+        let request = self.request_of(qid);
+        let target = self.place(&request);
+        let offered = self.loads[target].routable() && self.offer_copy(qid, target, request);
+        let state = &mut self.states[qid];
+        state.attempts += 1;
+        if offered {
+            state.outstanding += 1;
+            state.last_replica = target;
+            self.pump(target, now);
+        } else {
+            self.lose_attempt(qid, now);
+        }
+    }
+
+    /// One duplicate dispatch, on the least-loaded other routable replica
+    /// with room, for a query still outstanding; the first copy wins.
+    fn hedge(&mut self, qid: usize, now: Layers) {
+        let state = &self.states[qid];
+        if state.done || state.outstanding != 1 || state.hedge_replica.is_some() {
+            return;
+        }
+        let candidate = (0..self.replicas.len())
+            .filter(|&r| {
+                self.live[r].health.routable()
+                    && self.replicas[r].has_queue_room()
+                    && r != state.last_replica
+            })
+            .min_by_key(|&r| (self.replicas[r].load(), r));
+        let Some(target) = candidate else {
+            return;
+        };
+        if self.offer_copy(qid, target, self.request_of(qid)) {
+            let state = &mut self.states[qid];
+            state.hedge_replica = Some(target);
+            state.outstanding += 1;
+            self.counters.hedges += 1;
+            self.pump(target, now);
+        }
+    }
+
+    /// A queued copy of query `qid` expired at its deadline.
+    fn expire(&mut self, qid: usize) {
+        let state = &mut self.states[qid];
+        state.outstanding = state.outstanding.saturating_sub(1);
+        if !state.done && state.outstanding == 0 {
+            self.counters.deadline_expirations += 1;
+            self.finish_shed(qid, ShedReason::DeadlineExceeded);
+        }
+    }
+
+    /// Admitted query `qid` as a request again, for re-placement.
+    fn request_of(&self, qid: usize) -> FleetRequest {
+        let state = &self.states[qid];
+        let address = state.address.clone();
+        FleetRequest {
+            id: state.id,
+            tenant: state.tenant,
+            arrival: state.arrival,
+            address: address.expect("runs that re-dispatch keep addresses"),
+        }
+    }
+
+    /// Offers a copy of admitted query `qid` to replica `target`.
+    fn offer_copy(&mut self, qid: usize, target: usize, request: FleetRequest) -> bool {
+        let (id, tenant, arrival) = (request.id, request.tenant, request.arrival);
+        let deadline = self.states[qid].deadline;
+        self.replicas[target].offer(id, qid, tenant, arrival, deadline, request.address)
+    }
+
+    /// A copy of `qid` was lost on crashed replica `r`: an open query
+    /// waits there for failover.
+    fn strand(&mut self, qid: usize, r: usize) {
+        let state = &mut self.states[qid];
+        if state.done {
+            state.outstanding = state.outstanding.saturating_sub(1);
+        } else {
+            self.live[r].stranded.push(qid);
+        }
+    }
+
+    /// Each query stranded on replica `r` loses an attempt.
+    fn fail_over(&mut self, r: usize, now: Layers) {
+        for qid in std::mem::take(&mut self.live[r].stranded) {
+            self.counters.failovers += 1;
+            self.lose_attempt(qid, now);
+        }
+    }
+
+    /// A dispatch attempt of `qid` was lost. With no other copy live, a
+    /// retry follows the backoff, unless the budget or deadline sheds it.
+    fn lose_attempt(&mut self, qid: usize, now: Layers) {
+        let state = &mut self.states[qid];
+        state.outstanding = state.outstanding.saturating_sub(1);
+        if state.done || state.outstanding > 0 {
+            return;
+        }
+        let retry = self.config.retry;
+        let at = now + retry.backoff(state.attempts);
+        if retry.budget_exhausted(state.attempts) {
+            self.finish_shed(qid, ShedReason::RetriesExhausted);
+        } else if state.deadline.is_some_and(|deadline| at > deadline) {
+            self.counters.deadline_expirations += 1;
+            self.finish_shed(qid, ShedReason::DeadlineExceeded);
+        } else {
+            self.counters.retries += 1;
+            self.events.push(at, Event::Retry { qid });
+        }
+    }
+
+    /// Resolves query `qid` as shed, releasing its quota slot.
+    fn finish_shed(&mut self, qid: usize, reason: ShedReason) {
+        let state = &mut self.states[qid];
+        assert!(!state.done, "a query resolves exactly once");
+        state.done = true;
+        let (id, tenant) = (state.id, state.tenant);
+        self.shed.push(ShedRequest { id, tenant, reason });
+        *self.outstanding.get_mut(&tenant).expect("tenant admitted") -= 1;
+        self.open -= 1;
+    }
+
+    /// Settles every live replica, then runs one scrub cycle.
+    fn settle_and_scrub(&mut self) -> Result<(), DurableServeError> {
+        for r in 0..self.replicas.len() {
+            if self.live[r].alive {
+                self.settle(r)?;
+            }
+        }
+        if let Some(d) = self.durability.as_mut() {
+            let live = &self.live;
+            let alive = (0..live.len()).filter(|&r| live[r].alive);
+            d.scrub(&mut self.replicated, alive, self.config.scrub_chunk_cells)?;
+        }
+        Ok(())
+    }
+
+    /// Open queries or remaining arrivals: periodic ticks re-arm only then.
+    fn busy(&self) -> bool {
+        self.open > 0 || !self.arrivals.as_slice().is_empty()
+    }
+
+    /// Drains the durability tier, executes what is left, and reports.
+    fn finish(mut self) -> Result<FleetReport, DurableServeError> {
+        if let Some(d) = self.durability.as_mut() {
+            // A run ending mid-group must not report its last writes as
+            // unsynced; a final scrub finds divergence injected after the
+            // last tick (or in runs too short to reach one).
+            d.flush()?;
+            if self.config.scrub_interval.is_some() {
+                self.settle_and_scrub()?;
+            }
+        }
+        let dispatched = self.replicas.iter().map(|r| r.dispatch_count() as u64);
+        let per_replica_dispatches: Vec<u64> = dispatched.collect();
+        // The no-lost-queries invariant: every admitted query resolved as
+        // Completed or Shed. (Queued hedge-loser copies may legitimately
+        // strand on a crashed-and-never-detected replica, so queue
+        // emptiness is NOT asserted here, unlike the fault-free loop.)
+        assert!(
+            self.states.iter().all(|s| s.done),
+            "every admitted query completes or sheds"
+        );
+        assert!(self.outstanding.values().all(|&n| n == 0));
+
+        // The final settle runs each replica's remaining dispatches, last
+        // replica first, and drops it right after so its addresses are
+        // freed before the next replica executes.
+        for r in (0..self.replicas.len()).rev() {
+            self.settle(r)?;
+            let replica = self.replicas.pop().expect("one replica per index");
+            assert_eq!(
+                self.executed[r].len(),
+                replica.dispatch_count(),
+                "every dispatch executes exactly once"
+            );
+        }
+        // Crashed and corrupted dispatches leave holes in a replica's
+        // completion order: fetch each outcome by its dispatch index.
+        let executed = &self.executed;
+        let outcomes = self.completed_dispatch.iter();
+        let outcomes: Vec<QueryOutcome> = outcomes.map(|&(r, i)| executed[r][i].clone()).collect();
+        // Corrupted completions were re-served under the retry budget;
+        // verify the parity check would indeed have caught each one.
+        for &(r, index) in &self.corrupted_served {
+            let clean = &executed[r][index];
+            if parity_bit(&corrupt_outcome(clean)) != parity_bit(clean) {
+                self.counters.corruptions_detected += 1;
+            }
+        }
+        let mut per_tenant = HistogramFamily::new();
+        let mut per_replica = HistogramFamily::new();
+        for query in &self.completed {
+            per_tenant.record(query.tenant, query.response_latency());
+            per_replica.record(query.replica, query.response_latency());
+        }
+        Ok(FleetReport {
+            timing: self.fleet.timing,
+            stale_served: self.completed.iter().filter(|q| q.stale).count() as u64,
+            completed: self.completed,
+            outcomes,
+            shed: self.shed,
+            per_replica_dispatches,
+            per_tenant,
+            per_replica,
+            fleet_epoch: self.replicated.fleet_epoch(),
+            availability: self.counters,
+            integrity: self.durability.map(|d| d.counters).unwrap_or_default(),
         })
-        .collect()
-}
-
-/// A copy of query `qid` was lost on a crashed replica: already-resolved
-/// queries just drop the copy, live ones wait in `pending` for failover.
-fn strand(qid: usize, states: &mut [QueryState], pending: &mut Vec<usize>) {
-    if states[qid].done {
-        states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-    } else {
-        pending.push(qid);
     }
-}
-
-/// Resolves query `qid` as shed, releasing its quota slot.
-fn finish_shed(
-    qid: usize,
-    reason: ShedReason,
-    states: &mut [QueryState],
-    shed: &mut Vec<ShedRequest>,
-    outstanding_map: &mut BTreeMap<TenantId, u32>,
-    open: &mut usize,
-) {
-    assert!(!states[qid].done, "a query resolves exactly once");
-    states[qid].done = true;
-    shed.push(ShedRequest {
-        id: states[qid].id,
-        tenant: states[qid].tenant,
-        reason,
-    });
-    *outstanding_map
-        .get_mut(&states[qid].tenant)
-        .expect("tenant admitted") -= 1;
-    *open -= 1;
-}
-
-/// One dispatch attempt of query `qid` was lost (crash, corruption, or an
-/// unplaceable retry). When no other copy is live, schedule a retry after
-/// the backoff — or shed if the budget is exhausted or the backoff would
-/// overrun the deadline.
-#[allow(clippy::too_many_arguments)]
-fn lose_attempt(
-    qid: usize,
-    now: Layers,
-    retry: &RetryPolicy,
-    states: &mut [QueryState],
-    events: &mut EventQueue<Event>,
-    shed: &mut Vec<ShedRequest>,
-    outstanding_map: &mut BTreeMap<TenantId, u32>,
-    counters: &mut AvailabilityCounters,
-    open: &mut usize,
-) {
-    states[qid].outstanding = states[qid].outstanding.saturating_sub(1);
-    if states[qid].done || states[qid].outstanding > 0 {
-        return;
-    }
-    let attempts = states[qid].attempts;
-    if retry.budget_exhausted(attempts) {
-        finish_shed(
-            qid,
-            ShedReason::RetriesExhausted,
-            states,
-            shed,
-            outstanding_map,
-            open,
-        );
-        return;
-    }
-    let at = now + retry.backoff(attempts);
-    if states[qid].deadline.is_some_and(|deadline| at > deadline) {
-        counters.deadline_expirations += 1;
-        finish_shed(
-            qid,
-            ShedReason::DeadlineExceeded,
-            states,
-            shed,
-            outstanding_map,
-            open,
-        );
-        return;
-    }
-    counters.retries += 1;
-    events.push(at, Event::Retry { qid });
 }
 
 #[cfg(test)]

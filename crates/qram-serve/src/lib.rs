@@ -61,6 +61,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod fault;
 pub mod fleet;
