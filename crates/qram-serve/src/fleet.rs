@@ -1292,8 +1292,8 @@ impl<'a> Durability<'a> {
 
     /// One anti-entropy scrub cycle: audit the WAL, then compare each
     /// chunk of every `live` replica's memory with the durable chain's
-    /// image at its applied epoch (built once per epoch), resetting a
-    /// diverged replica to that image. The replica side is re-read every
+    /// image at its applied epoch (built once per distinct epoch),
+    /// resetting a diverged replica to that image. The replica side is re-read every
     /// cycle: a [`Fault::DiskCorrupt`] flip bypasses the log.
     fn scrub(
         &mut self,
@@ -1303,18 +1303,20 @@ impl<'a> Durability<'a> {
     ) -> Result<(), StoreError> {
         self.counters.scrub_cycles += 1;
         self.audit_disk(replicated)?;
-        let mut images: Vec<(u64, Option<ClassicalMemory>)> = Vec::new();
+        // Visit replicas by applied epoch, so one image at a time serves
+        // every replica at its epoch.
+        let mut live: Vec<usize> = live.collect();
+        live.sort_by_key(|&r| replicated.applied_epoch(r));
+        let mut image: Option<(u64, Option<ClassicalMemory>)> = None;
         for r in live {
             let applied = replicated.applied_epoch(r);
-            let slot = images.iter().position(|&(epoch, _)| epoch == applied);
-            let slot = slot.unwrap_or_else(|| {
-                images.push((applied, self.store.state_at(self.wal_base + applied)));
-                images.len() - 1
-            });
+            if image.as_ref().is_none_or(|&(epoch, _)| epoch != applied) {
+                image = Some((applied, self.store.state_at(self.wal_base + applied)));
+            }
             // An epoch already compacted behind a checkpoint is not
             // reconstructible — the replica is audited next cycle, once
             // catch-up moves it past the checkpoint watermark.
-            let Some(expected) = &images[slot].1 else {
+            let Some((_, Some(expected))) = &image else {
                 continue;
             };
             let want = expected.cells().chunks(chunk_cells);
