@@ -1014,15 +1014,20 @@ impl<M: QramModel, P: AdmissionPolicy, L: PlacementPolicy> QramFleet<M, P, L> {
         plan: &FaultPlan,
         fault_config: &FaultConfig,
     ) -> Result<FleetReport, ExecError> {
-        // Without an external store the durability tier (when disk faults
-        // or scrubbing activate it) runs on an in-memory `SimDir`, which
-        // cannot fail I/O, created from the run's memory; appends are
-        // contiguous by construction.
-        self.serve_faulty(memory, requests, writes, plan, fault_config, None)
-            .map_err(|e| match e {
-                DurableServeError::Exec(e) => e,
-                other => unreachable!("the ephemeral in-memory store cannot fail: {other}"),
-            })
+        match self.serve_faulty(memory, requests, writes, plan, fault_config, None) {
+            Ok(report) => Ok(report),
+            Err(DurableServeError::Exec(e)) => Err(e),
+            // Without an external store the durability tier (when disk
+            // faults or scrubbing activate it) runs on an in-memory
+            // `SimDir`, which cannot fail I/O, and appends are contiguous
+            // by construction.
+            Err(DurableServeError::Store(e)) => {
+                unreachable!("the ephemeral in-memory store cannot fail: {e}")
+            }
+            Err(DurableServeError::BaseMismatch) => {
+                unreachable!("the ephemeral store is created from the run's memory")
+            }
+        }
     }
 
     /// [`QramFleet::serve_with_faults`] backed by a crash-consistent
